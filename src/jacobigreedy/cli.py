@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,7 +38,7 @@ from .experiments import (
 )
 
 _FLOAT_KEYS = ("alpha", "beta", "p", "tol", "d")
-_INT_KEYS = ("n_min", "n_max", "N_min", "N_max", "samples", "seed", "trials", "threads")
+_INT_KEYS = ("n_min", "n_max", "N_min", "N_max", "samples", "seed", "trials")
 
 _DEFAULTS: dict[str, dict] = {
     "norms": dict(n_min=64, n_max=4096),
@@ -52,7 +51,7 @@ _DEFAULTS: dict[str, dict] = {
 }
 _COMMON_DEFAULTS = dict(
     alpha=0.0, beta=0.0, p=2.0, mode="orthonormal", samples=64, seed=0,
-    tol=1e-6, out="runs", threads=os.cpu_count() or 1,
+    tol=1e-6, out="runs",
 )
 
 _CSV_HEADERS = {
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.add_argument("--d", type=float)
         p.add_argument("--trials", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out", type=str)
         p.add_argument("--config", type=str)
     return parser
@@ -138,7 +136,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _echo(cfg: dict) -> dict:
     # the summary config echo excludes run-local keys so identical inputs
     # give byte-identical summaries regardless of output location
-    return {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -19,9 +19,9 @@ from .jacobi import (
     JacobiParams,
     NormalizationMode,
     basis_scale,
+    eval_P,
     eval_P_many,
     jacobi_combination,
-    jacobi_iter,
     orthonormal_const,
 )
 from .quadrature import MeshConfig, gauss_jacobi_rule, lp_norm, lp_norms_of_rows
@@ -33,15 +33,7 @@ def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
     params = JacobiParams(alpha, beta)
     dn = orthonormal_const(params, n)
     mesh = MeshConfig().scaled_for_degree(n)
-    return lp_norm(lambda x: dn * _single_P(params, n, x), params, p, mesh=mesh, tol=1e-10)
-
-
-def _single_P(params: JacobiParams, n: int, x):
-    out = None
-    for k, pk in jacobi_iter(params, np.atleast_1d(np.asarray(x, dtype=float)), n):
-        if k == n:
-            out = pk
-    return out
+    return lp_norm(lambda x: dn * eval_P(params, n, x), params, p, mesh=mesh, tol=1e-10)
 
 
 def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]) -> np.ndarray:

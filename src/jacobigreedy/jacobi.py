@@ -3,6 +3,10 @@
 Conventions: P_n(1) = binom(n+alpha, n); the orthonormal family is
 p_n = d_n * P_n with ||p_n||_{L2(mu)} = 1 for the measure
 d mu(x) = (1-x)^alpha (1+x)^beta dx on (-1, 1).
+
+One kernel, jacobi_iter, runs the recurrence in three in-place buffers that
+each step overwrites; every evaluator feeds it blocks of at most _BLOCK points.
+largest_root is the top eigenvalue of the Jacobi matrix (Golub-Welsch).
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ class JacobiParams:
         """True when min(alpha, beta) > -1/2 (the range where the basis theory applies)."""
         return min(self.alpha, self.beta) > -0.5
 
-    def swapped(self) -> "JacobiParams":
-        return JacobiParams(self.beta, self.alpha)
-
 
 @dataclass(frozen=True)
 class NormalizationMode:
@@ -82,15 +83,21 @@ class NormalizationMode:
 
 def _check_x(x):
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if np.abs(x).max(initial=0.0) > 1.0 + 1e-12:
         raise DomainError("x outside [-1, 1]")
     return x
+
+
+# Points per evaluator block: the x block and three buffers (4 x 256 KiB) fit
+# in L2 cache, and each ufunc call is long enough to hide Python overhead.
+_BLOCK = 32768
 
 
 def jacobi_iter(params: JacobiParams, x: np.ndarray, nmax: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, P_n(x)) for n = 0..nmax by the forward three-term recurrence.
 
-    The yielded arrays are freshly allocated each step, so callers may keep them.
+    Three preallocated buffers of x's shape are updated in place: each
+    yielded array is overwritten by the next step, so copy it to keep it.
     """
     a, b = params.alpha, params.beta
     x = np.asarray(x, dtype=float)
@@ -98,33 +105,39 @@ def jacobi_iter(params: JacobiParams, x: np.ndarray, nmax: int) -> Iterator[tupl
     yield 0, p_prev
     if nmax == 0:
         return
-    p_cur = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+    p_cur = np.multiply(x, 0.5 * (a + b + 2.0), out=np.empty_like(x))
+    p_cur += 0.5 * (a - b)
     yield 1, p_cur
+    p_next = np.empty_like(x)
     for n in range(2, nmax + 1):
         s = 2.0 * n + a + b
         c1 = 2.0 * n * (n + a + b) * (s - 2.0)
         c2 = (s - 1.0) * (a * a - b * b)
         c3 = (s - 1.0) * s * (s - 2.0)
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
-        p_next = ((c3 * x + c2) * p_cur - c4 * p_prev) / c1
-        yield n, p_next
-        p_prev, p_cur = p_cur, p_next
+        # ((c3 * x + c2) * p_cur - c4 * p_prev) / c1, one operation at a time
+        np.multiply(x, c3, out=p_next)
+        p_next += c2
+        p_next *= p_cur
+        p_prev *= c4
+        p_next -= p_prev
+        p_next /= c1
+        p_prev, p_cur, p_next = p_cur, p_next, p_prev
+        yield n, p_cur
+
+
+def _blocks(params: JacobiParams, x: np.ndarray, nmax: int):
+    """(slice, jacobi_iter over x[slice]) for consecutive blocks of a flat x."""
+    for lo in range(0, x.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        yield block, jacobi_iter(params, x[block], nmax)
 
 
 def eval_P(params: JacobiParams, n: int, x) -> float | np.ndarray:
     """P_n^{(alpha,beta)}(x), normalized so P_n(1) = binom(n+alpha, n)."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
     xv = _check_x(x)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
-    out = None
-    for k, pk in jacobi_iter(params, xv, n):
-        if k == n:
-            out = pk
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"P_{n} overflowed in the recurrence")
-    return float(out[0]) if scalar else out
+    out = _rows(params, [n], xv.ravel())[0]
+    return float(out[0]) if xv.ndim == 0 else out.reshape(xv.shape)
 
 
 def eval_P_many(params: JacobiParams, degrees, x) -> np.ndarray:
@@ -133,18 +146,22 @@ def eval_P_many(params: JacobiParams, degrees, x) -> np.ndarray:
     One pass of the recurrence up to max(degrees); degrees may repeat and
     need not be sorted.
     """
-    degrees = list(degrees)
-    xv = np.atleast_1d(_check_x(x))
+    return _rows(params, list(degrees), np.atleast_1d(_check_x(x)).ravel())
+
+
+def _rows(params: JacobiParams, degrees: list, x: np.ndarray) -> np.ndarray:
+    """eval_P_many on a checked, flat x."""
     want: dict[int, list[int]] = {}
     for i, d in enumerate(degrees):
         if d < 0:
             raise DomainError("degrees must be >= 0")
         want.setdefault(int(d), []).append(i)
-    out = np.empty((len(degrees), xv.size), dtype=float)
-    for n, pn in jacobi_iter(params, xv, max(want)):
-        for i in want.get(n, ()):
-            out[i] = pn
-    if not np.all(np.isfinite(out)):
+    out = np.empty((len(degrees), x.size))
+    for block, steps in _blocks(params, x, max(want)):
+        for n, pn in steps:
+            for i in want.get(n, ()):
+                out[i, block] = pn
+    if not np.isfinite(out).all():
         raise OverflowError("Jacobi recurrence overflowed")
     return out
 
@@ -152,14 +169,16 @@ def eval_P_many(params: JacobiParams, degrees, x) -> np.ndarray:
 def jacobi_combination(params: JacobiParams, coeffs: Mapping[int, float], x) -> np.ndarray:
     """Sum_{n} coeffs[n] * P_n(x), accumulated in one recurrence pass."""
     xv = np.atleast_1d(_check_x(x))
-    if not coeffs:
-        return np.zeros_like(xv)
-    acc = np.zeros_like(xv)
-    for n, pn in jacobi_iter(params, xv, max(coeffs)):
-        c = coeffs.get(n)
-        if c:
-            acc += c * pn
-    return acc
+    acc = np.zeros(xv.size)
+    for block, steps in _blocks(params, xv.ravel(), max(coeffs, default=0)):
+        part = acc[block]
+        for n, pn in steps:
+            c = coeffs.get(n)
+            if c:
+                part += c * pn
+    if not np.isfinite(acc).all():
+        raise OverflowError("Jacobi combination overflowed")
+    return acc.reshape(xv.shape)
 
 
 def log_binom(a: float, n: int) -> float:
@@ -313,28 +332,31 @@ def near_one_ratio_range(
     return float(vals.min()), float(vals.max())
 
 
-def largest_root(params: JacobiParams, n: int, bisection_steps: int = 80) -> float:
-    """Largest root z_n of P_n, found by scanning in theta and bisecting eval_P.
+def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the m x m symmetric Jacobi matrix of the weight.
 
-    1 - z_n ~ n^{-2}; the first sign change of P_n(cos theta) sits near
-    theta ~ j_{alpha,1}/n, well inside the scanned window.
+    It holds the recurrence of the orthonormal p_0..p_{m-1}; its eigenvalues
+    are the zeros of P_m (Golub-Welsch).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    hi_theta = min(math.pi / 2.0, 12.0 / n)
-    ts = np.linspace(hi_theta / 400.0, hi_theta, 400)
-    vals = eval_P(params, n, np.cos(ts))
-    sign_change = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if sign_change.size == 0:
-        raise RuntimeError(f"no sign change of P_{n} found in the scan window")
-    i = sign_change[0]
-    lo, hi = ts[i], ts[i + 1]
-    flo = vals[i]
-    for _ in range(bisection_steps):
-        mid = 0.5 * (lo + hi)
-        fmid = eval_P(params, n, math.cos(mid))
-        if (flo > 0) == (fmid > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return math.cos(0.5 * (lo + hi))
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    a, b = params.alpha, params.beta
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(m)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    off2 = np.empty(m - 1)
+    off2[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    kk, sk = k[2:], s[2:]
+    off2[1:] = 4.0 * kk * (kk + a) * (kk + b) * (kk + a + b) / (sk**2 * (sk + 1.0) * (sk - 1.0))
+    return diag, np.sqrt(off2)
+
+
+def largest_root(params: JacobiParams, n: int) -> float:
+    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): top eigenvalue of the Jacobi matrix."""
+    from scipy.linalg import eigh_tridiagonal  # already loaded by quadrature
+
+    diag, off = jacobi_matrix(params, n)
+    top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(n - 1, n - 1))
+    return float(top[0])

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln
 
-from .jacobi import JacobiParams
+from .jacobi import JacobiParams, jacobi_matrix
 
 
 class ConvergenceError(RuntimeError):
@@ -58,28 +58,10 @@ class QuadratureRule:
 def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     """m-point Gauss rule, exact for polynomials of degree <= 2m - 1.
 
-    Nodes are eigenvalues of the symmetric tridiagonal recurrence matrix;
+    Nodes are eigenvalues of the Jacobi matrix (jacobi.jacobi_matrix);
     weights come from the first eigenvector components.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a, b = params.alpha, params.beta
-    k = np.arange(m, dtype=float)
-    s = 2.0 * k + a + b
-    diag = np.empty(m)
-    diag[0] = (b - a) / (a + b + 2.0)
-    if m > 1:
-        diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
-    off2 = np.empty(max(m - 1, 0))
-    if m > 1:
-        off2[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
-        kk = k[2:]
-        sk = s[2:]
-        off2[1:] = (
-            4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
-            / (sk**2 * (sk + 1.0) * (sk - 1.0))
-        )
-    nodes, vecs = eigh_tridiagonal(diag, np.sqrt(off2))
+    nodes, vecs = eigh_tridiagonal(*jacobi_matrix(params, m))
     weights = total_mass(params) * vecs[0, :] ** 2
     return QuadratureRule(params=params, nodes=nodes, weights=weights)
 
@@ -151,23 +133,25 @@ def _converge(
 
     estimator receives (theta, combined quadrature-times-measure weights) and
     may return a scalar or a vector; agreement is max relative change <= tol.
-    Returns the converged value.
+    Returns the converged value; ConvergenceError carries the estimates of
+    the last two levels.
     """
-    prev = None
+    if max_refine < 1:
+        raise ValueError("max_refine must be >= 1")
+    prev = est = None
     for level in range(max_refine + 1):
         theta, w = theta_mesh(mesh, level)
-        est = np.asarray(estimator(theta, w * mu_theta_weight(params, theta)), dtype=float)
+        prev, est = est, np.asarray(estimator(theta, w * mu_theta_weight(params, theta)), dtype=float)
         if not np.all(np.isfinite(est)):
             raise EvaluationError("integrand produced non-finite values")
         if prev is not None:
-            scale = np.maximum(np.abs(est), 1e-300)
-            if np.max(np.abs(est - prev) / scale) <= tol:
+            change = np.abs(est - prev) / np.maximum(np.abs(est), 1e-300)
+            if np.max(change) <= tol:
                 return est if est.ndim else float(est)
-        prev = est
-    last = float(np.max(prev)) if prev.ndim else float(prev)
+    i = np.argmax(change)  # report the component that changed most
     raise ConvergenceError(
         f"no convergence to tol={tol:g} after {max_refine} refinements",
-        estimates=(last, last),
+        estimates=(float(prev.flat[i]), float(est.flat[i])),
     )
 
 

@@ -94,6 +94,20 @@ class TestReproducibility:
                     "--out", str(b)]) == 0
         assert (a / "average-block.csv").read_bytes() == (b / "average-block.csv").read_bytes()
 
+    def test_manifest_with_removed_threads_key_loads(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["norms", "--n-min", "8", "--n-max", "32", "--p", "3"]
+        assert run([*args, "--out", str(a)]) == 0
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert "threads" not in manifest["config"]
+        manifest["config"]["threads"] = 8  # written by earlier versions
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert run(["norms", "--config", str(old), "--out", str(b)]) == 0
+        assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()
+        assert (a / "norms.json").read_bytes() == (b / "norms.json").read_bytes()
+        assert "threads" not in json.loads((b / "manifest.json").read_text())["config"]
+
 
 class TestPlotData:
     def test_round_trip(self, tmp_path):

@@ -1,11 +1,13 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobigreedy import jacobi
 from jacobigreedy.jacobi import (
     DomainError,
     JacobiParams,
@@ -16,6 +18,7 @@ from jacobigreedy.jacobi import (
     eval_P_many,
     eval_basis,
     eval_derivative,
+    jacobi_combination,
     largest_root,
     near_one_ratio_range,
     near_one_window,
@@ -24,6 +27,24 @@ from jacobigreedy.jacobi import (
 )
 
 LEG = JacobiParams(0.0, 0.0)
+B = jacobi._BLOCK
+
+
+def reference_P(params, n, x):
+    """P_n(x) by the allocating forward recurrence, in the kernel's operation order."""
+    a, b = params.alpha, params.beta
+    x = np.asarray(x, dtype=float)
+    p_prev, p_cur = np.ones_like(x), 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+    if n == 0:
+        return p_prev
+    for k in range(2, n + 1):
+        s = 2.0 * k + a + b
+        c1 = 2.0 * k * (k + a + b) * (s - 2.0)
+        c2 = (s - 1.0) * (a * a - b * b)
+        c3 = (s - 1.0) * s * (s - 2.0)
+        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
+        p_prev, p_cur = p_cur, ((c3 * x + c2) * p_cur - c4 * p_prev) / c1
+    return p_cur
 
 
 class TestParams:
@@ -96,6 +117,72 @@ class TestEvalP:
         np.testing.assert_allclose(rows[1], 1.0)
         np.testing.assert_allclose(rows[2], rows[0])
         np.testing.assert_allclose(rows[3], eval_P(LEG, 3, xs))
+
+
+class TestBlockedKernel:
+    PARAMS = JacobiParams(0.7, -0.3)
+
+    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 25])
+    def test_eval_P_bit_identical_to_reference(self, size, n):
+        x = np.cos(np.linspace(0.0, math.pi, size))
+        assert np.array_equal(eval_P(self.PARAMS, n, x), reference_P(self.PARAMS, n, x))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 25])
+    def test_scalar_bit_identical_to_reference(self, n):
+        got = eval_P(self.PARAMS, n, 0.37)
+        assert isinstance(got, float)
+        assert got == float(reference_P(self.PARAMS, n, 0.37))
+
+    @pytest.mark.parametrize("x", [0.37, [0.37], [0.37, -0.2]])
+    def test_iter_yields_reused_buffers_of_x_shape(self, x):
+        shape = np.shape(x)
+        seen = []
+        for n, pn in jacobi.jacobi_iter(self.PARAMS, x, 4):
+            assert isinstance(pn, np.ndarray) and pn.shape == shape
+            assert np.array_equal(pn, reference_P(self.PARAMS, n, x))
+            seen.append(pn)
+        # three buffers rotate: step n overwrites the array yielded at step n - 3
+        assert seen[4] is seen[1] and seen[3] is seen[0]
+
+    def test_eval_many_repeated_unsorted_degrees_across_blocks(self):
+        x = np.cos(np.linspace(0.0, math.pi, B + 5))
+        degrees = [7, 0, 7, 3, 12, 1]
+        rows = eval_P_many(self.PARAMS, degrees, x)
+        assert rows.shape == (len(degrees), x.size)
+        for row, d in zip(rows, degrees):
+            assert np.array_equal(row, reference_P(self.PARAMS, d, x))
+
+    def test_combination_across_blocks(self):
+        x = np.cos(np.linspace(0.0, math.pi, B + 5))
+        coeffs = {0: 0.5, 4: -1.25, 9: 2.0}
+        want = np.zeros_like(x)
+        for n in range(max(coeffs) + 1):
+            if n in coeffs:
+                want += coeffs[n] * reference_P(self.PARAMS, n, x)
+        assert np.array_equal(jacobi_combination(self.PARAMS, coeffs, x), want)
+
+    @pytest.mark.parametrize(
+        "a, b, n, x",
+        [(0.0, 0.0, 7, 0.3), (-0.49, 0.2, 40, 0.91), (-0.45, -0.45, 13, -0.62),
+         (2.5, 1.0, 60, 0.05), (0.5, -0.3, 101, 0.999)],
+    )
+    def test_matches_mpmath(self, a, b, n, x):
+        with mpmath.workdps(30):
+            want = float(mpmath.jacobi(n, a, b, x))
+        assert eval_P(JacobiParams(a, b), n, x) == pytest.approx(want, rel=1e-11, abs=1e-13)
+        assert eval_P(JacobiParams(a, b), n, np.array([x, x]))[1] == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("x", [[0.999], [0.999, 0.998]])
+    def test_overflow_raises_in_every_evaluator(self, x):
+        params = JacobiParams(400.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError):
+                jacobi_combination(params, {3000: 1.0}, x)
+            with pytest.raises(OverflowError):
+                eval_P_many(params, [3000], x)
+            with pytest.raises(OverflowError):
+                eval_P(params, 3000, x)
 
 
 class TestOrthonormalConst:
@@ -219,6 +306,20 @@ class TestLargestRoot:
         # largest roots of Legendre P_2 and P_3: 1/sqrt(3) and sqrt(3/5)
         assert largest_root(LEG, 2) == pytest.approx(1 / math.sqrt(3), abs=1e-12)
         assert largest_root(LEG, 3) == pytest.approx(math.sqrt(0.6), abs=1e-12)
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (0.5, 0.0), (10.0, 0.0), (-0.4, 1.5), (3.0, 7.0)])
+    def test_degree_one_root_closed_form(self, ab):
+        # P_1 = ((a + b + 2) x + (a - b)) / 2 vanishes at (b - a)/(a + b + 2)
+        a, b = ab
+        assert largest_root(JacobiParams(a, b), 1) == pytest.approx((b - a) / (a + b + 2), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [160, 4000])
+    def test_large_alpha_sign_change(self, n):
+        # the first zero lies far from 1 at alpha = 10 (1 - z ~ j_{10,1}^2 / (2 n^2))
+        params = JacobiParams(10.0, 0.0)
+        z = largest_root(params, n)
+        h = 1e-6 / n**2
+        assert eval_P(params, n, z - h) < 0 < eval_P(params, n, min(z + h, 1.0))
 
     def test_one_minus_root_scales_like_inverse_square(self):
         z1 = largest_root(LEG, 100)

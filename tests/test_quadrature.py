@@ -12,6 +12,7 @@ from jacobigreedy.quadrature import (
     MeshConfig,
     gauss_jacobi_rule,
     lp_norm,
+    lp_norms_of_rows,
     rademacher_average_norm,
     square_function_norm,
     theta_mesh,
@@ -131,7 +132,25 @@ class TestLpNorm:
         f = lambda x: np.abs(x - 0.123456)
         with pytest.raises(ConvergenceError) as exc:
             lp_norm(f, LEG, 3.0, tol=1e-14, max_refine=1)
-        assert exc.value.estimates is not None
+        prev, last = exc.value.estimates
+        # the level-0 and level-1 estimates, which disagree beyond tol
+        assert abs(last - prev) > 1e-14 * abs(last)
+
+    def test_nonconvergence_reports_row_that_changed_most(self):
+        kink = lambda x: np.abs(x - 0.123456)
+        with pytest.raises(ConvergenceError) as alone:
+            lp_norms_of_rows(lambda x: kink(x)[None, :], LEG, 3.0, tol=1e-14, max_refine=1)
+        # the smooth rows settle at level 0; only the kink row misses tol
+        rows = lambda x: np.stack([np.ones_like(x), kink(x), 2.0 * np.ones_like(x)])
+        with pytest.raises(ConvergenceError) as exc:
+            lp_norms_of_rows(rows, LEG, 3.0, tol=1e-14, max_refine=1)
+        assert exc.value.estimates == pytest.approx(alone.value.estimates, rel=1e-13)
+        prev, last = exc.value.estimates
+        assert abs(last - prev) > 1e-14 * abs(last)
+
+    def test_rejects_zero_refinements(self):
+        with pytest.raises(ValueError):
+            lp_norm(lambda x: x, LEG, 2.0, max_refine=0)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
