@@ -16,53 +16,37 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .jacobi import DomainError, JacobiParams, NormalizationMode
+from .jacobi import JacobiParams, NormalizationMode
 from .quadrature import ConvergenceError, MeshConfig
 from .experiments import (
     ExperimentConfig,
     SlopeFit,
     average_block_experiment,
-    critical_exponents,
+    block_sum_experiment,
     darboux_envelope,
-    fit_loglog,
     geometric_grid,
     geometric_sum_identity_check,
     main_theorem_witness,
     near_one_experiment,
     norm_regimes_experiment,
-    staggered_block,
+    omega_exponent,
 )
 
-_FLOAT_KEYS = ("alpha", "beta", "p", "tol", "d")
-_INT_KEYS = ("n_min", "n_max", "N_min", "N_max", "samples", "seed", "trials")
-
-_DEFAULTS: dict[str, dict] = {
-    "norms": dict(n_min=64, n_max=4096),
-    "block-sum": dict(N_min=8, N_max=512),
-    "average-block": dict(N_min=8, N_max=256),
-    "near-one": dict(n_min=10, n_max=1000, d=0.5),
-    "witness": dict(N_min=8, N_max=256),
-    "darboux-check": dict(n_min=16, n_max=512),
-    "identity-check": dict(trials=10000, N_max=64),
+# typed config keys; each is also a flag, --<key> with "_" spelled "-"
+_KEY_TYPES = {
+    **dict.fromkeys(("alpha", "beta", "p", "tol", "d"), float),
+    **dict.fromkeys(("n_min", "n_max", "N_min", "N_max", "samples", "seed", "trials"), int),
 }
+
 _COMMON_DEFAULTS = dict(
     alpha=0.0, beta=0.0, p=2.0, mode="orthonormal", samples=64, seed=0,
     tol=1e-6, out="runs",
 )
-
-_CSV_HEADERS = {
-    "norms": ["n", "norm"],
-    "block-sum": ["N", "norm"],
-    "average-block": ["N", "square_norm", "rademacher_mean", "rademacher_stderr", "ratio"],
-    "near-one": ["d", "min_ratio", "max_ratio"],
-    "witness": ["N", "block_norm", "square_norm", "rademacher_mean", "sign_ratio"],
-    "darboux-check": ["n", "max_scaled_error"],
-    "identity-check": ["N", "max_deviation"],
-}
 
 
 def _fmt(v) -> str:
@@ -77,21 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Greedy-algorithm asymptotics for Jacobi expansions in Lp(mu).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in _DEFAULTS:
+    for cmd in COMMANDS:
         p = sub.add_parser(cmd)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--p", type=float)
+        for key, kind in _KEY_TYPES.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
         p.add_argument("--mode", choices=["orthonormal", "sqrt-scaled", "lp"])
-        p.add_argument("--n-min", dest="n_min", type=int)
-        p.add_argument("--n-max", dest="n_max", type=int)
-        p.add_argument("--N-min", dest="N_min", type=int)
-        p.add_argument("--N-max", dest="N_max", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--d", type=float)
-        p.add_argument("--trials", type=int)
         p.add_argument("--out", type=str)
         p.add_argument("--config", type=str)
     return parser
@@ -99,23 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(_DEFAULTS[args.command])
+    cfg.update(COMMANDS[args.command].defaults)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if "config" in loaded and isinstance(loaded["config"], dict):
             loaded = loaded["config"]  # accept a manifest file directly
-        cfg.update({k: v for k, v in loaded.items() if k in cfg or k in _DEFAULTS[args.command]})
+        cfg.update({k: v for k, v in loaded.items() if k in cfg})
     for key in list(cfg):
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for k in _FLOAT_KEYS:
+    for k, kind in _KEY_TYPES.items():
         if k in cfg:
-            cfg[k] = float(cfg[k])
-    for k in _INT_KEYS:
-        if k in cfg:
-            cfg[k] = int(cfg[k])
+            cfg[k] = kind(cfg[k])
     return cfg
 
 
@@ -125,18 +96,12 @@ def _mode(cfg: dict) -> NormalizationMode:
     return NormalizationMode(cfg["mode"])
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _echo(cfg: dict) -> dict:
-    # the summary config echo excludes run-local keys so identical inputs
-    # give byte-identical summaries regardless of output location
-    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -170,128 +135,93 @@ def emit_plot_data(fit: SlopeFit, path: Path) -> None:
         )
 
 
-def _experiment_config(cfg: dict, n_key: str | None = None, N_key: bool = False) -> ExperimentConfig:
-    params = JacobiParams(cfg["alpha"], cfg["beta"])
-    kwargs: dict = {}
-    if n_key:
-        kwargs["n_grid"] = tuple(geometric_grid(cfg["n_min"], cfg["n_max"]))
-    if N_key:
-        kwargs["N_grid"] = tuple(geometric_grid(cfg["N_min"], cfg["N_max"]))
+def _grid(cfg: dict, key: str) -> tuple[int, ...]:
+    return tuple(geometric_grid(cfg[f"{key}_min"], cfg[f"{key}_max"]))
+
+
+def _experiment_config(cfg: dict, **grids) -> ExperimentConfig:
     return ExperimentConfig(
-        params=params, p=cfg["p"], mode=_mode(cfg), mesh=MeshConfig(),
-        seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"], **kwargs,
+        params=JacobiParams(cfg["alpha"], cfg["beta"]), p=cfg["p"], mode=_mode(cfg),
+        mesh=MeshConfig(), seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"], **grids,
     )
 
 
-def _run_norms(cfg: dict, outdir: Path) -> str:
-    ecfg = _experiment_config(cfg, n_key="n")
+def _norms(cfg: dict):
+    ecfg = _experiment_config(cfg, n_grid=_grid(cfg, "n"))
     fit = norm_regimes_experiment(ecfg)
-    _write_csv(outdir / "norms.csv", _CSV_HEADERS["norms"], zip(ecfg.n_grid, fit.ys))
-    _write_json(outdir / "norms.json", {"config": _echo(cfg), "fit": _fit_summary(fit), "regime": fit.label})
-    emit_plot_data(fit, outdir / "norms.dat")
-    return f"norms: regime={fit.label} slope={fit.slope:.4f} max_residual={fit.max_residual:.4f}"
+    line = f"regime={fit.label} slope={fit.slope:.4f} max_residual={fit.max_residual:.4f}"
+    return zip(ecfg.n_grid, fit.ys), {"fit": _fit_summary(fit), "regime": fit.label}, fit, line
 
 
-def _run_block_sum(cfg: dict, outdir: Path) -> str:
-    if cfg["mode"] == "orthonormal":
-        cfg = dict(cfg, mode="sqrt-scaled")  # the block-sum statement lives in sqrt scaling
-    from .experiments import block_sum_experiment, omega_exponent
-
-    ecfg = _experiment_config(cfg, N_key=True)
+def _block_sum(cfg: dict):
+    if cfg["mode"] == "orthonormal":  # block sums live in sqrt scaling; record the mode run
+        cfg["mode"] = "sqrt-scaled"
+    ecfg = _experiment_config(cfg, N_grid=_grid(cfg, "N"))
     fit = block_sum_experiment(ecfg)
     expected = omega_exponent(ecfg.params, ecfg.p)
-    _write_csv(outdir / "block-sum.csv", _CSV_HEADERS["block-sum"], zip(ecfg.N_grid, fit.ys))
-    _write_json(
-        outdir / "block-sum.json",
-        {"config": _echo(cfg), "fit": _fit_summary(fit), "expected_slope": expected},
-    )
-    emit_plot_data(fit, outdir / "block-sum.dat")
-    return f"block-sum: slope={fit.slope:.4f} expected={expected:.4f} max_residual={fit.max_residual:.4f}"
+    fields = {"fit": _fit_summary(fit), "expected_slope": expected}
+    line = f"slope={fit.slope:.4f} expected={expected:.4f} max_residual={fit.max_residual:.4f}"
+    return zip(ecfg.N_grid, fit.ys), fields, fit, line
 
 
-def _run_average_block(cfg: dict, outdir: Path) -> str:
-    ecfg = _experiment_config(cfg, N_key=True)
+def _average_block(cfg: dict):
+    ecfg = _experiment_config(cfg, N_grid=_grid(cfg, "N"))
     res = average_block_experiment(ecfg)
     rows = zip(
         ecfg.N_grid, res.square_fit.ys, res.rademacher_fit.ys,
         res.rademacher_stderrs, res.ratios,
     )
-    _write_csv(outdir / "average-block.csv", _CSV_HEADERS["average-block"], rows)
-    _write_json(
-        outdir / "average-block.json",
-        {
-            "config": _echo(cfg),
-            "square_fit": _fit_summary(res.square_fit),
-            "rademacher_fit": _fit_summary(res.rademacher_fit),
-            "ratio_min": min(res.ratios),
-            "ratio_max": max(res.ratios),
-            "samples_used": list(res.samples_used),
-        },
-    )
-    emit_plot_data(res.square_fit, outdir / "average-block.dat")
-    return (
-        f"average-block: square_slope={res.square_fit.slope:.4f} "
+    fields = {
+        "square_fit": _fit_summary(res.square_fit),
+        "rademacher_fit": _fit_summary(res.rademacher_fit),
+        "ratio_min": min(res.ratios),
+        "ratio_max": max(res.ratios),
+        "samples_used": list(res.samples_used),
+    }
+    line = (
+        f"square_slope={res.square_fit.slope:.4f} "
         f"rademacher_slope={res.rademacher_fit.slope:.4f}"
     )
+    return rows, fields, res.square_fit, line
 
 
-def _run_near_one(cfg: dict, outdir: Path) -> str:
-    params = JacobiParams(cfg["alpha"], cfg["beta"])
-    n_grid = geometric_grid(cfg["n_min"], cfg["n_max"])
+def _near_one(cfg: dict):
     d = cfg["d"]
-    res = near_one_experiment(params, n_grid, d_sweep=(d, d / 2, d / 4))
-    _write_csv(outdir / "near-one.csv", _CSV_HEADERS["near-one"], res.rows)
-    _write_json(
-        outdir / "near-one.json",
-        {
-            "config": _echo(cfg),
-            "chosen_d": res.chosen_d,
-            "root_fit": _fit_summary(res.root_fit),
-        },
+    res = near_one_experiment(
+        JacobiParams(cfg["alpha"], cfg["beta"]), _grid(cfg, "n"), d_sweep=(d, d / 2, d / 4)
     )
-    emit_plot_data(res.root_fit, outdir / "near-one.dat")
-    return f"near-one: chosen_d={res.chosen_d} root_slope={res.root_fit.slope:.4f}"
+    fields = {"chosen_d": res.chosen_d, "root_fit": _fit_summary(res.root_fit)}
+    line = f"chosen_d={res.chosen_d} root_slope={res.root_fit.slope:.4f}"
+    return res.rows, fields, res.root_fit, line
 
 
-def _run_witness(cfg: dict, outdir: Path) -> str:
-    params = JacobiParams(cfg["alpha"], cfg["beta"])
-    N_grid = geometric_grid(cfg["N_min"], cfg["N_max"])
+def _witness(cfg: dict):
+    N_grid = _grid(cfg, "N")
     rep = main_theorem_witness(
-        params, cfg["p"], N_grid, mesh=MeshConfig(), seed=cfg["seed"],
-        samples=cfg["samples"], tol=cfg["tol"],
+        JacobiParams(cfg["alpha"], cfg["beta"]), cfg["p"], N_grid, mesh=MeshConfig(),
+        seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"],
     )
     rows = zip(N_grid, rep.block_fit.ys, rep.square_fit.ys, rep.rademacher_fit.ys, rep.sign_ratios)
-    _write_csv(outdir / "witness.csv", _CSV_HEADERS["witness"], rows)
-    _write_json(
-        outdir / "witness.json",
-        {
-            "config": _echo(cfg),
-            "block_fit": _fit_summary(rep.block_fit),
-            "square_fit": _fit_summary(rep.square_fit),
-            "rademacher_fit": _fit_summary(rep.rademacher_fit),
-            "gap": rep.gap,
-            "residual": rep.residual,
-            "verdict": rep.verdict,
-        },
-    )
-    emit_plot_data(rep.block_fit, outdir / "witness.dat")
-    return f"witness: gap={rep.gap:.4f} residual={rep.residual:.4f} verdict={rep.verdict}"
+    fields = {
+        "block_fit": _fit_summary(rep.block_fit),
+        "square_fit": _fit_summary(rep.square_fit),
+        "rademacher_fit": _fit_summary(rep.rademacher_fit),
+        "gap": rep.gap,
+        "residual": rep.residual,
+        "verdict": rep.verdict,
+    }
+    line = f"gap={rep.gap:.4f} residual={rep.residual:.4f} verdict={rep.verdict}"
+    return rows, fields, rep.block_fit, line
 
 
-def _run_darboux_check(cfg: dict, outdir: Path) -> str:
-    params = JacobiParams(cfg["alpha"], cfg["beta"])
-    n_grid = geometric_grid(cfg["n_min"], cfg["n_max"])
-    rows = darboux_envelope(params, n_grid)
-    _write_csv(outdir / "darboux-check.csv", _CSV_HEADERS["darboux-check"], rows)
+def _darboux_check(cfg: dict):
+    rows = darboux_envelope(JacobiParams(cfg["alpha"], cfg["beta"]), _grid(cfg, "n"))
     growth = rows[-1][1] / rows[0][1]
-    _write_json(
-        outdir / "darboux-check.json",
-        {"config": _echo(cfg), "envelope_growth": growth, "max_scaled_error": max(r[1] for r in rows)},
-    )
-    return f"darboux-check: envelope_growth={growth:.4f} (bounded if ~<= 2)"
+    fields = {"envelope_growth": growth, "max_scaled_error": max(r[1] for r in rows)}
+    return rows, fields, None, f"envelope_growth={growth:.4f} (bounded if ~<= 2)"
 
 
-def _run_identity_check(cfg: dict, outdir: Path) -> str:
+def _identity_check(cfg: dict):
     params = JacobiParams(cfg["alpha"], cfg["beta"])
     rng = np.random.default_rng(cfg["seed"])
     trials, n_cap = cfg["trials"], cfg["N_max"]
@@ -300,20 +230,40 @@ def _run_identity_check(cfg: dict, outdir: Path) -> str:
     for N in range(1, n_cap + 1):
         th = rng.uniform(0.01, math.pi - 0.01, size=per_call)
         worst[N] = geometric_sum_identity_check(N, th, params)
-    _write_csv(outdir / "identity-check.csv", _CSV_HEADERS["identity-check"], sorted(worst.items()))
     overall = max(worst.values())
-    _write_json(outdir / "identity-check.json", {"config": _echo(cfg), "max_deviation": overall})
-    return f"identity-check: max_deviation={overall:.3e}"
+    return sorted(worst.items()), {"max_deviation": overall}, None, f"max_deviation={overall:.3e}"
 
 
-_RUNNERS = {
-    "norms": _run_norms,
-    "block-sum": _run_block_sum,
-    "average-block": _run_average_block,
-    "near-one": _run_near_one,
-    "witness": _run_witness,
-    "darboux-check": _run_darboux_check,
-    "identity-check": _run_identity_check,
+class Command(NamedTuple):
+    defaults: dict
+    header: tuple[str, ...]
+    # merged config -> (CSV rows, summary fields besides the config echo,
+    # fit to plot or None, stdout line after "<command>: ")
+    run: Callable[[dict], tuple]
+
+
+COMMANDS: dict[str, Command] = {
+    "norms": Command(dict(n_min=64, n_max=4096), ("n", "norm"), _norms),
+    "block-sum": Command(dict(N_min=8, N_max=512), ("N", "norm"), _block_sum),
+    "average-block": Command(
+        dict(N_min=8, N_max=256),
+        ("N", "square_norm", "rademacher_mean", "rademacher_stderr", "ratio"),
+        _average_block,
+    ),
+    "near-one": Command(
+        dict(n_min=10, n_max=1000, d=0.5), ("d", "min_ratio", "max_ratio"), _near_one
+    ),
+    "witness": Command(
+        dict(N_min=8, N_max=256),
+        ("N", "block_norm", "square_norm", "rademacher_mean", "sign_ratio"),
+        _witness,
+    ),
+    "darboux-check": Command(
+        dict(n_min=16, n_max=512), ("n", "max_scaled_error"), _darboux_check
+    ),
+    "identity-check": Command(
+        dict(trials=10000, N_max=64), ("N", "max_deviation"), _identity_check
+    ),
 }
 
 
@@ -323,23 +273,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = args.command
     try:
         cfg = _merge_config(args)
-        if args.command in ("block-sum", "witness"):
-            params = JacobiParams(cfg["alpha"], cfg["beta"])
-            p_crit, q_crit, _ = critical_exponents(params)
-            if not (p_crit < cfg["p"] < q_crit):
-                raise ValueError(
-                    f"p={cfg['p']} outside the Schauder range ({p_crit:g}, {q_crit:g})"
-                )
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = _RUNNERS[args.command](cfg, outdir)
-    except (DomainError, ValueError) as exc:
+        rows, fields, fit, line = COMMANDS[command].run(cfg)
+        _write_csv(outdir / f"{command}.csv", COMMANDS[command].header, rows)
+        # the summary config echo excludes run-local keys so identical inputs
+        # give byte-identical summaries regardless of output location
+        echo = {k: v for k, v in cfg.items() if k != "out"}
+        _write_json(outdir / f"{command}.json", {"config": echo, **fields})
+        if fit is not None:
+            emit_plot_data(fit, outdir / f"{command}.dat")
+    except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -348,14 +299,14 @@ def main(argv=None) -> int:
     _write_json(
         outdir / "manifest.json",
         {
-            "command": args.command,
+            "command": command,
             "config": cfg,
             "output_dir": str(outdir),
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     )
-    print(summary)
+    print(f"{command}: {line}")
     return 0
 
 

@@ -28,7 +28,7 @@ from .quadrature import (
     rademacher_average_norm,
     square_function_norm,
 )
-from .greedy import Expansion, JacobiFamily, expansion_lp_norm, sign_ratio
+from .greedy import Expansion, JacobiFamily, expansion_lp_norm
 
 
 def geometric_grid(lo: int, hi: int, ratio: int = 2) -> list[int]:
@@ -113,15 +113,15 @@ class ExperimentConfig:
                 raise ValueError("grid sizes must be >= 1")
 
 
-def critical_exponents(params: JacobiParams) -> tuple[float, float, tuple[float, float]]:
-    """(p_crit, q_crit, Schauder range); the pair is conjugate: 1/p + 1/q = 1."""
+def critical_exponents(params: JacobiParams) -> tuple[float, float]:
+    """(p_crit, q_crit), the ends of the Schauder range; conjugate: 1/p + 1/q = 1."""
     if not params.half_range_ok:
         raise ValueError("critical exponents require min(alpha, beta) > -1/2")
     g = params.gamma
     p_crit = 4.0 * (g + 1.0) / (2.0 * g + 3.0)
     q_crit = 4.0 * (g + 1.0) / (2.0 * g + 1.0)
     assert abs(1.0 / p_crit + 1.0 / q_crit - 1.0) < 1e-12
-    return p_crit, q_crit, (p_crit, q_crit)
+    return p_crit, q_crit
 
 
 def omega_exponent(params: JacobiParams, p: float) -> float:
@@ -130,7 +130,7 @@ def omega_exponent(params: JacobiParams, p: float) -> float:
     w = max over the two endpoint branches of (2c+3)/2 - 2(c+1)/p, c in
     {alpha, beta}; equals 1/2 exactly when p = 2.
     """
-    p_crit, q_crit, _ = critical_exponents(params)
+    p_crit, q_crit = critical_exponents(params)
     if not (p_crit < p < q_crit):
         raise ValueError(f"p={p} outside the Schauder range ({p_crit:g}, {q_crit:g})")
     branch = lambda c: (2.0 * c + 3.0) / 2.0 - 2.0 * (c + 1.0) / p
@@ -157,7 +157,7 @@ def norm_regimes_experiment(cfg: ExperimentConfig) -> SlopeFit:
     """
     if not cfg.n_grid:
         raise ValueError("n_grid must be set")
-    _, q_crit, _ = critical_exponents(cfg.params)
+    _, q_crit = critical_exponents(cfg.params)
     values = _orthonormal_norms(cfg, cfg.n_grid)
     if abs(cfg.p - q_crit) < 1e-9:
         ln = np.log(np.array(cfg.n_grid, dtype=float))
@@ -200,7 +200,7 @@ def average_block_experiment(cfg: ExperimentConfig) -> AverageBlockResult:
     """Square-function and random-sign average norms over A_N; both ~ N^{1/2}."""
     if not cfg.N_grid:
         raise ValueError("N_grid must be set")
-    _, q_crit, _ = critical_exponents(cfg.params)
+    _, q_crit = critical_exponents(cfg.params)
     if not (1.0 <= cfg.p < q_crit):
         raise ValueError(f"p={cfg.p} outside [1, q_crit={q_crit:g})")
     sq_vals, rad_means, rad_errs, used = [], [], [], []
@@ -346,15 +346,14 @@ def main_theorem_witness(
     # the average baseline uses the same sqrt-scaled family as the block sum,
     # so at p = 2 both quantities coincide exactly and the gap is a clean zero
     avg = average_block_experiment(block_cfg)
+    # sign ratios ||sum eps_j x_j||_p / ||sum x_j||_p; the denominators are the block norms
     ratios = []
-    mode = NormalizationMode.sqrt_scaled()
-    for N in N_grid:
+    for N, block_norm in zip(N_grid, block.ys):
         A = staggered_block(N)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1, N)))
         eps = rng.integers(0, 2, size=len(A)) * 2.0 - 1.0
-        ratios.append(
-            sign_ratio(params, mode, A, eps, p, mesh=mesh.scaled_for_degree(max(A)), tol=tol)
-        )
+        signed = Expansion(params, block_cfg.mode, dict(zip(A, eps)))
+        ratios.append(expansion_lp_norm(signed, p, mesh=mesh, tol=tol) / block_norm)
     gap = block.slope - avg.square_fit.slope
     residual = max(block.max_residual, avg.square_fit.max_residual)
     if abs(gap) > 3.0 * residual:

@@ -24,7 +24,7 @@ from .jacobi import (
     jacobi_combination,
     orthonormal_const,
 )
-from .quadrature import MeshConfig, gauss_jacobi_rule, lp_norm, lp_norms_of_rows
+from .quadrature import MeshConfig, lp_norm, lp_norms_of_rows
 
 
 @lru_cache(maxsize=4096)
@@ -129,32 +129,16 @@ def expansion_lp_norm(
     mesh: MeshConfig | None = None,
     tol: float = 1e-8,
 ) -> float:
-    """Lp(mu) norm of the expansion; exact Gauss-Jacobi fast path at p = 2."""
+    """Lp(mu) norm of the expansion; at p = 2 Parseval's sqrt(sum_j (c_j s_j / d_j)^2)."""
     if not e.coeffs:
         return 0.0
-    maxdeg = max(e.coeffs)
     scaled = e.scaled_coeffs()
     if p == 2.0:
-        rule = gauss_jacobi_rule(e.params, maxdeg + 1)
-        vals = jacobi_combination(e.params, scaled, rule.nodes)
-        return float(math.sqrt(np.dot(rule.weights, vals * vals)))
-    mesh = (mesh or MeshConfig()).scaled_for_degree(maxdeg)
+        return math.hypot(*(c / orthonormal_const(e.params, j) for j, c in scaled.items()))
+    mesh = (mesh or MeshConfig()).scaled_for_degree(max(e.coeffs))
     return lp_norm(
         lambda x: jacobi_combination(e.params, scaled, x), e.params, p, mesh=mesh, tol=tol
     )
-
-
-def _partial_sum_rows(e: Expansion, order: Sequence[int]):
-    """rows_fn(x) giving the greedy partial sums G_1..G_M as rows."""
-    scaled = e.scaled_coeffs()
-    degrees = list(order)
-
-    def rows_fn(x):
-        terms = eval_P_many(e.params, degrees, x)
-        terms *= np.array([scaled[j] for j in degrees])[:, None]
-        return np.cumsum(terms, axis=0)
-
-    return rows_fn
 
 
 def quasi_greedy_ratio(
@@ -163,18 +147,24 @@ def quasi_greedy_ratio(
     mesh: MeshConfig | None = None,
     tol: float = 1e-8,
 ) -> float:
-    """max_m ||G_m(e)||_p / ||e||_p over m = 1..|support| (brute force over m)."""
+    """max_m ||G_m(e)||_p / ||e||_p over m = 1..|support| (brute force over m).
+
+    Exactly 1 at p = 2, where by Parseval ||G_m(e)||_2^2 is a running sum of squares.
+    """
     if not e.coeffs:
         raise ValueError("expansion must be nonzero")
-    order = greedy_ordering(e).order
-    maxdeg = max(e.coeffs)
     if p == 2.0:
-        rule = gauss_jacobi_rule(e.params, maxdeg + 1)
-        rows = _partial_sum_rows(e, order)(rule.nodes)
-        norms = np.sqrt(rows**2 @ rule.weights)
-    else:
-        m = (mesh or MeshConfig()).scaled_for_degree(maxdeg)
-        norms = lp_norms_of_rows(_partial_sum_rows(e, order), e.params, p, mesh=m, tol=tol)
+        return 1.0
+    order = greedy_ordering(e).order
+    scaled = e.scaled_coeffs()
+
+    def partial_sums(x):  # rows G_1(x), ..., G_M(x)
+        terms = eval_P_many(e.params, order, x)
+        terms *= np.array([scaled[j] for j in order])[:, None]
+        return np.cumsum(terms, axis=0)
+
+    m = (mesh or MeshConfig()).scaled_for_degree(max(e.coeffs))
+    norms = lp_norms_of_rows(partial_sums, e.params, p, mesh=m, tol=tol)
     return float(np.max(norms) / norms[-1])
 
 

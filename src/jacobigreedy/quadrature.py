@@ -3,8 +3,9 @@
 Two integration paths:
 
 * a Gauss rule for the weight (1-x)^alpha (1+x)^beta, built by the
-  symmetric-eigenvalue (Golub-Welsch) method -- exact on polynomials and
-  used as the p = 2 fast path;
+  symmetric-eigenvalue (Golub-Welsch) method -- exact on polynomials, and
+  so an oracle for the mesh path (p = 2 norms need neither: greedy uses
+  Parseval);
 * a composite Gauss mesh in theta = arccos x with geometric grading toward
   both endpoints, refined by doubling until two successive estimates agree.
   This is the general path: |f|^p for non-even p is not a polynomial, and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobigreedy.cli import _CSV_HEADERS, emit_plot_data, main
+from jacobigreedy.cli import COMMANDS, emit_plot_data, main
 from jacobigreedy.experiments import SlopeFit
 from jacobigreedy.quadrature import ConvergenceError
 
@@ -48,7 +48,7 @@ class TestOutputs:
         for name in ("witness.csv", "witness.json", "manifest.json", "witness.dat", "witness.fit"):
             assert (tmp_path / name).exists()
         header = (tmp_path / "witness.csv").read_text().splitlines()[0]
-        assert header == ",".join(_CSV_HEADERS["witness"])
+        assert header == ",".join(COMMANDS["witness"].header)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "witness"
         assert manifest["config"]["p"] == 3.0
@@ -65,7 +65,7 @@ class TestOutputs:
         code = run([cmd, *args, "--out", str(tmp_path)])
         assert code == 0
         header = (tmp_path / f"{cmd}.csv").read_text().splitlines()[0]
-        assert header == ",".join(_CSV_HEADERS[cmd])
+        assert header == ",".join(COMMANDS[cmd].header)
 
     def test_norms_small(self, tmp_path):
         code = run(["norms", "--p", "3", "--n-min", "16", "--n-max", "64",
@@ -93,6 +93,20 @@ class TestReproducibility:
         assert run(["average-block", "--config", str(a / "manifest.json"),
                     "--out", str(b)]) == 0
         assert (a / "average-block.csv").read_bytes() == (b / "average-block.csv").read_bytes()
+
+    def test_block_sum_manifest_records_mode_that_ran(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["block-sum", "--p", "3", "--N-min", "8", "--N-max", "16", "--tol", "1e-5"]
+        assert run([*args, "--out", str(a)]) == 0
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "sqrt-scaled"
+        echo = json.loads((a / "block-sum.json").read_text())["config"]
+        assert echo == {k: v for k, v in manifest["config"].items() if k != "out"}
+        manifest["config"]["mode"] = "orthonormal"  # written by earlier versions
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert run(["block-sum", "--config", str(old), "--out", str(b)]) == 0
+        assert (a / "block-sum.csv").read_bytes() == (b / "block-sum.csv").read_bytes()
 
     def test_manifest_with_removed_threads_key_loads(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

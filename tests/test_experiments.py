@@ -27,20 +27,19 @@ LEG = JacobiParams(0.0, 0.0)
 
 class TestCriticalExponents:
     def test_legendre(self):
-        p, q, rng = critical_exponents(LEG)
+        p, q = critical_exponents(LEG)
         assert p == pytest.approx(4 / 3, rel=1e-14)
         assert q == pytest.approx(4.0, rel=1e-14)
-        assert rng == (p, q)
 
     def test_half_zero(self):
-        p, q, _ = critical_exponents(JacobiParams(0.5, 0.0))
+        p, q = critical_exponents(JacobiParams(0.5, 0.0))
         assert p == pytest.approx(1.5, rel=1e-14)
         assert q == pytest.approx(3.0, rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(-0.45, 4.0), b=st.floats(-0.45, 4.0))
     def test_conjugacy(self, a, b):
-        p, q, _ = critical_exponents(JacobiParams(a, b))
+        p, q = critical_exponents(JacobiParams(a, b))
         assert p * q == pytest.approx(p + q, rel=1e-12)
 
     def test_rejects_below_half(self):

@@ -1,0 +1,115 @@
+"""Golden runs: every CLI command at small grids against stored outputs.
+
+Each case runs `cli.main` and compares the command's CSV and summary JSON
+with the files under tests/golden/<case>/. Outputs must be byte-identical,
+except in the cases listed in PARSEVAL: there the p = 2 block norms are
+closed-form Parseval sums, while the stored files come from Gauss-Jacobi
+quadrature. In those cases floats agree to 1e-12 relative (fitted
+quantities to 1e-12 absolute) and every string matches exactly.
+
+Regenerate the stored files, only for an intended change of numbers, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from jacobigreedy.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+NORMS = ["norms", "--n-min", "16", "--n-max", "64", "--tol", "1e-5"]
+WITNESS = ["witness", "--seed", "1", "--N-min", "8", "--N-max", "32", "--samples", "8",
+           "--tol", "1e-5"]
+CASES = {
+    "norms-p3": [*NORMS, "--p", "3"],
+    "norms-p6": [*NORMS, "--p", "6"],
+    "norms-alpha1-beta0.5": [*NORMS, "--alpha", "1", "--beta", "0.5", "--p", "3"],
+    "norms-mode-lp": [*NORMS, "--mode", "lp", "--p", "3"],
+    "block-sum-p3": ["block-sum", "--p", "3", "--N-min", "8", "--N-max", "32", "--tol", "1e-5"],
+    "block-sum-p2-alpha0.5": ["block-sum", "--p", "2", "--alpha", "0.5", "--N-min", "8",
+                              "--N-max", "64"],
+    "average-block": ["average-block", "--p", "3", "--N-min", "4", "--N-max", "16",
+                      "--samples", "16", "--seed", "2", "--tol", "1e-5"],
+    "near-one": ["near-one", "--n-min", "10", "--n-max", "80"],
+    "darboux-check": ["darboux-check", "--n-min", "16", "--n-max", "64"],
+    "identity-check": ["identity-check", "--trials", "200", "--N-max", "16", "--seed", "3"],
+    "witness-p2": [*WITNESS, "--p", "2"],
+    "witness-p3": [*WITNESS, "--p", "3"],
+}
+PARSEVAL = {"block-sum-p2-alpha0.5", "witness-p2"}
+ABSOLUTE_KEYS = {"slope", "intercept", "max_residual", "gap", "residual"}
+TOL = 1e-12
+
+
+def _files(case: str) -> tuple[str, str]:
+    command = CASES[case][0]
+    return f"{command}.csv", f"{command}.json"
+
+
+def _close(got, want, absolute: bool) -> bool:
+    if isinstance(want, float) and isinstance(got, float):
+        scale = 1.0 if absolute else abs(want)
+        return math.isfinite(got) and abs(got - want) <= TOL * scale
+    return type(got) is type(want) and got == want
+
+
+def _json_mismatches(got, want, key: str = "") -> list[str]:
+    if isinstance(want, dict) and isinstance(got, dict):
+        if set(got) != set(want):
+            return [f"{key}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in _json_mismatches(got[k], want[k], k)]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [m for g, w in zip(got, want) for m in _json_mismatches(g, w, key)]
+    return [] if _close(got, want, key in ABSOLUTE_KEYS) else [f"{key}: {got!r} != {want!r}"]
+
+
+def _csv_mismatches(got: str, want: str) -> list[str]:
+    got_rows = list(csv.reader(got.splitlines()))
+    want_rows = list(csv.reader(want.splitlines()))
+    if len(got_rows) != len(want_rows) or got_rows[:1] != want_rows[:1]:
+        return ["CSV shape or header differs"]
+    out = []
+    for g_row, w_row in zip(got_rows[1:], want_rows[1:]):
+        if len(g_row) != len(w_row):
+            out.append(f"row {g_row} != {w_row}")
+            continue
+        for g, w in zip(g_row, w_row):
+            if g != w and not _close(float(g), float(w), False):
+                out.append(f"cell {g} != {w}")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case, tmp_path):
+    assert main([*CASES[case], "--out", str(tmp_path)]) == 0
+    csv_name, json_name = _files(case)
+    got_csv, want_csv = (tmp_path / csv_name).read_text(), (GOLDEN / case / csv_name).read_text()
+    got_json = (tmp_path / json_name).read_text()
+    want_json = (GOLDEN / case / json_name).read_text()
+    if case in PARSEVAL:
+        assert _csv_mismatches(got_csv, want_csv) == []
+        assert _json_mismatches(json.loads(got_json), json.loads(want_json)) == []
+    else:
+        assert got_csv == want_csv
+        assert got_json == want_json
+
+
+def regenerate() -> None:
+    for case, argv in CASES.items():
+        outdir = GOLDEN / case
+        if main([*argv, "--out", str(outdir)]) != 0:
+            raise SystemExit(f"{case}: non-zero exit")
+        keep = set(_files(case))
+        for path in outdir.iterdir():
+            if path.name not in keep:
+                path.unlink()
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -18,7 +18,7 @@ from jacobigreedy.greedy import (
     quasi_greedy_ratio,
     sign_ratio,
 )
-from jacobigreedy.quadrature import MeshConfig
+from jacobigreedy.quadrature import MeshConfig, gauss_jacobi_rule
 
 LEG = JacobiParams(0.0, 0.0)
 ON = NormalizationMode.orthonormal()
@@ -105,7 +105,7 @@ class TestQuasiGreedyRatio:
         for _ in range(25):
             support = rng.choice(40, size=rng.integers(1, 9), replace=False)
             e = Expansion(LEG, ON, {int(j): float(rng.normal()) for j in support})
-            assert quasi_greedy_ratio(e, 2.0) <= 1.0 + 1e-8
+            assert quasi_greedy_ratio(e, 2.0) == 1.0  # Parseval: sums of squares only grow
 
     def test_singleton_is_one(self):
         e = Expansion(LEG, ON, {4: -1.3})
@@ -180,6 +180,26 @@ class TestExpansionNorm:
         mesh = MeshConfig().scaled_for_degree(8)
         general = lp_norm(e.evaluate, LEG, 2.0, mesh=mesh, tol=1e-10)
         assert general == pytest.approx(exact, rel=1e-9)
+
+    def test_p2_large_alpha_high_degree(self):
+        # P_2000^(150,0) reaches ~1e228 near x = 1, so p_2000^2 on quadrature nodes overflows
+        e = Expansion(JacobiParams(150.0, 0.0), ON, {2000: 1.0, 5: 2.0})
+        assert expansion_lp_norm(e, 2.0) == pytest.approx(math.sqrt(5.0), rel=1e-14)
+
+    @pytest.mark.parametrize("mode", [ON, SQ])
+    def test_p2_no_overflow_at_alpha_300(self, mode):
+        e = Expansion(JacobiParams(300.0, 0.0), mode, {3000: 1.0, 7: -0.5})
+        assert math.isfinite(expansion_lp_norm(e, 2.0))
+        assert quasi_greedy_ratio(e, 2.0) == 1.0
+
+    @pytest.mark.parametrize("alpha,beta", [(1.5, -0.3), (-0.45, 2.0)])
+    def test_p2_parseval_matches_gauss_rule(self, alpha, beta):
+        params = JacobiParams(alpha, beta)
+        for mode in (ON, SQ):
+            e = Expansion(params, mode, {0: 0.7, 3: -1.2, 8: 2.5, 13: 0.4, 21: -0.9})
+            rule = gauss_jacobi_rule(params, 30)  # exact for e^2, degree 42
+            oracle = math.sqrt(rule.integrate(lambda x: e.evaluate(x) ** 2))
+            assert expansion_lp_norm(e, 2.0) == pytest.approx(oracle, rel=1e-12)
 
     def test_empty_expansion_norm_zero(self):
         assert expansion_lp_norm(Expansion(LEG, ON, {}), 3.0) == 0.0
