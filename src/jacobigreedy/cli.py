@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .jacobi import JacobiParams, NormalizationMode
-from .quadrature import ConvergenceError, MeshConfig
+from .quadrature import ConvergenceError
 from .experiments import (
     ExperimentConfig,
     SlopeFit,
@@ -142,7 +142,7 @@ def _grid(cfg: dict, key: str) -> tuple[int, ...]:
 def _experiment_config(cfg: dict, **grids) -> ExperimentConfig:
     return ExperimentConfig(
         params=JacobiParams(cfg["alpha"], cfg["beta"]), p=cfg["p"], mode=_mode(cfg),
-        mesh=MeshConfig(), seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"], **grids,
+        seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"], **grids,
     )
 
 
@@ -198,7 +198,7 @@ def _near_one(cfg: dict):
 def _witness(cfg: dict):
     N_grid = _grid(cfg, "N")
     rep = main_theorem_witness(
-        JacobiParams(cfg["alpha"], cfg["beta"]), cfg["p"], N_grid, mesh=MeshConfig(),
+        JacobiParams(cfg["alpha"], cfg["beta"]), cfg["p"], N_grid,
         seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"],
     )
     rows = zip(N_grid, rep.block_fit.ys, rep.square_fit.ys, rep.rademacher_fit.ys, rep.sign_ratios)
@@ -225,6 +225,8 @@ def _identity_check(cfg: dict):
     params = JacobiParams(cfg["alpha"], cfg["beta"])
     rng = np.random.default_rng(cfg["seed"])
     trials, n_cap = cfg["trials"], cfg["N_max"]
+    if n_cap < 1:
+        raise ValueError(f"N_max={n_cap} must be >= 1")
     worst: dict[int, float] = {}
     per_call = max(1, trials // n_cap)
     for N in range(1, n_cap + 1):

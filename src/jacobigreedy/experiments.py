@@ -22,13 +22,8 @@ from .jacobi import (
     largest_root,
     near_one_ratio_range,
 )
-from .quadrature import (
-    MeshConfig,
-    lp_norm,
-    rademacher_average_norm,
-    square_function_norm,
-)
-from .greedy import Expansion, JacobiFamily, expansion_lp_norm
+from .quadrature import rademacher_average_norm, square_function_norm
+from .greedy import Expansion, JacobiFamily, _orthonormal_lp_norm, expansion_lp_norm
 
 
 def geometric_grid(lo: int, hi: int, ratio: int = 2) -> list[int]:
@@ -102,7 +97,6 @@ class ExperimentConfig:
     mode: NormalizationMode = field(default_factory=NormalizationMode.orthonormal)
     n_grid: tuple[int, ...] = ()
     N_grid: tuple[int, ...] = ()
-    mesh: MeshConfig = field(default_factory=MeshConfig)
     seed: int = 0
     samples: int = 64
     tol: float = 1e-6
@@ -137,17 +131,6 @@ def omega_exponent(params: JacobiParams, p: float) -> float:
     return max(branch(params.alpha), branch(params.beta))
 
 
-def _orthonormal_norms(cfg: ExperimentConfig, grid: Sequence[int]) -> list[float]:
-    out = []
-    for n in grid:
-        fam = JacobiFamily(cfg.params, NormalizationMode.orthonormal(), (n,))
-        mesh = cfg.mesh.scaled_for_degree(n)
-        out.append(
-            lp_norm(lambda x: fam.values(x)[0], cfg.params, cfg.p, mesh=mesh, tol=cfg.tol)
-        )
-    return out
-
-
 def norm_regimes_experiment(cfg: ExperimentConfig) -> SlopeFit:
     """||p_n||_{Lp(mu)} over n_grid, fitted in the regime dictated by p vs q_crit.
 
@@ -158,7 +141,8 @@ def norm_regimes_experiment(cfg: ExperimentConfig) -> SlopeFit:
     if not cfg.n_grid:
         raise ValueError("n_grid must be set")
     _, q_crit = critical_exponents(cfg.params)
-    values = _orthonormal_norms(cfg, cfg.n_grid)
+    a, b = cfg.params.alpha, cfg.params.beta
+    values = [_orthonormal_lp_norm(a, b, cfg.p, n, cfg.tol) for n in cfg.n_grid]
     if abs(cfg.p - q_crit) < 1e-9:
         ln = np.log(np.array(cfg.n_grid, dtype=float))
         yp = np.array(values) ** cfg.p
@@ -183,7 +167,7 @@ def block_sum_experiment(cfg: ExperimentConfig) -> SlopeFit:
     values = []
     for N in cfg.N_grid:
         e = Expansion(cfg.params, cfg.mode, {j: 1.0 for j in staggered_block(N)})
-        values.append(expansion_lp_norm(e, cfg.p, mesh=cfg.mesh, tol=cfg.tol))
+        values.append(expansion_lp_norm(e, cfg.p, tol=cfg.tol))
     return fit_loglog(cfg.N_grid, values, resid_tol=0.05, label="block-sum")
 
 
@@ -206,19 +190,16 @@ def average_block_experiment(cfg: ExperimentConfig) -> AverageBlockResult:
     sq_vals, rad_means, rad_errs, used = [], [], [], []
     for N in cfg.N_grid:
         fam = JacobiFamily(cfg.params, cfg.mode, staggered_block(N))
-        mesh = cfg.mesh.scaled_for_degree(max(fam.degrees))
-        sq_vals.append(
-            square_function_norm(fam, cfg.params, cfg.p, mesh=mesh, tol=cfg.tol)
-        )
+        sq_vals.append(square_function_norm(fam, cfg.params, cfg.p, tol=cfg.tol))
         samples = cfg.samples
         seed = _child_seed(cfg.seed, N)
         mean, err = rademacher_average_norm(
-            fam, cfg.params, cfg.p, samples=samples, seed=seed, mesh=mesh, tol=cfg.tol
+            fam, cfg.params, cfg.p, samples=samples, seed=seed, tol=cfg.tol
         )
         if err > 0.02 * mean:  # one automatic doubling of the sample count
             samples *= 2
             mean, err = rademacher_average_norm(
-                fam, cfg.params, cfg.p, samples=samples, seed=seed, mesh=mesh, tol=cfg.tol
+                fam, cfg.params, cfg.p, samples=samples, seed=seed, tol=cfg.tol
             )
         rad_means.append(mean)
         rad_errs.append(err)
@@ -327,7 +308,6 @@ def main_theorem_witness(
     params: JacobiParams,
     p: float,
     N_grid: Sequence[int],
-    mesh: MeshConfig | None = None,
     seed: int = 0,
     samples: int = 64,
     tol: float = 1e-6,
@@ -336,11 +316,10 @@ def main_theorem_witness(
     average baseline; a gap well above the fit residual contradicts uniform
     boundedness of the greedy operators (expected for every p != 2).
     """
-    mesh = mesh or MeshConfig()
     N_grid = tuple(int(N) for N in N_grid)
     block_cfg = ExperimentConfig(
         params=params, p=p, mode=NormalizationMode.sqrt_scaled(),
-        N_grid=N_grid, mesh=mesh, seed=seed, samples=samples, tol=tol,
+        N_grid=N_grid, seed=seed, samples=samples, tol=tol,
     )
     block = block_sum_experiment(block_cfg)
     # the average baseline uses the same sqrt-scaled family as the block sum,
@@ -353,7 +332,7 @@ def main_theorem_witness(
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1, N)))
         eps = rng.integers(0, 2, size=len(A)) * 2.0 - 1.0
         signed = Expansion(params, block_cfg.mode, dict(zip(A, eps)))
-        ratios.append(expansion_lp_norm(signed, p, mesh=mesh, tol=tol) / block_norm)
+        ratios.append(expansion_lp_norm(signed, p, tol=tol) / block_norm)
     gap = block.slope - avg.square_fit.slope
     residual = max(block.max_residual, avg.square_fit.max_residual)
     if abs(gap) > 3.0 * residual:

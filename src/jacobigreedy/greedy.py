@@ -24,16 +24,17 @@ from .jacobi import (
     jacobi_combination,
     orthonormal_const,
 )
-from .quadrature import MeshConfig, lp_norm, lp_norms_of_rows
+from .quadrature import lp_norm, lp_norms_of_rows
 
 
 @lru_cache(maxsize=4096)
-def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
-    """||p_n||_{Lp(mu)}, cached; backend for the Lp-normalized mode."""
+def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int, tol: float = 1e-10) -> float:
+    """||p_n||_{Lp(mu)}, cached; backend for the Lp-normalized mode. Exactly 1 at p = 2."""
+    if p == 2.0:
+        return 1.0
     params = JacobiParams(alpha, beta)
     dn = orthonormal_const(params, n)
-    mesh = MeshConfig().scaled_for_degree(n)
-    return lp_norm(lambda x: dn * eval_P(params, n, x), params, p, mesh=mesh, tol=1e-10)
+    return lp_norm(lambda x: dn * eval_P(params, n, x), params, p, degree=n, tol=tol)
 
 
 def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]) -> np.ndarray:
@@ -123,30 +124,18 @@ def greedy_approx(e: Expansion, m: int) -> Expansion:
     return Expansion(e.params, e.mode, {j: e.coeffs[j] for j in keep})
 
 
-def expansion_lp_norm(
-    e: Expansion,
-    p: float,
-    mesh: MeshConfig | None = None,
-    tol: float = 1e-8,
-) -> float:
+def expansion_lp_norm(e: Expansion, p: float, tol: float = 1e-8) -> float:
     """Lp(mu) norm of the expansion; at p = 2 Parseval's sqrt(sum_j (c_j s_j / d_j)^2)."""
     if not e.coeffs:
         return 0.0
     scaled = e.scaled_coeffs()
     if p == 2.0:
         return math.hypot(*(c / orthonormal_const(e.params, j) for j, c in scaled.items()))
-    mesh = (mesh or MeshConfig()).scaled_for_degree(max(e.coeffs))
-    return lp_norm(
-        lambda x: jacobi_combination(e.params, scaled, x), e.params, p, mesh=mesh, tol=tol
-    )
+    f = lambda x: jacobi_combination(e.params, scaled, x)
+    return lp_norm(f, e.params, p, degree=max(e.coeffs), tol=tol)
 
 
-def quasi_greedy_ratio(
-    e: Expansion,
-    p: float,
-    mesh: MeshConfig | None = None,
-    tol: float = 1e-8,
-) -> float:
+def quasi_greedy_ratio(e: Expansion, p: float, tol: float = 1e-8) -> float:
     """max_m ||G_m(e)||_p / ||e||_p over m = 1..|support| (brute force over m).
 
     Exactly 1 at p = 2, where by Parseval ||G_m(e)||_2^2 is a running sum of squares.
@@ -163,8 +152,7 @@ def quasi_greedy_ratio(
         terms *= np.array([scaled[j] for j in order])[:, None]
         return np.cumsum(terms, axis=0)
 
-    m = (mesh or MeshConfig()).scaled_for_degree(max(e.coeffs))
-    norms = lp_norms_of_rows(partial_sums, e.params, p, mesh=m, tol=tol)
+    norms = lp_norms_of_rows(partial_sums, e.params, p, degree=max(e.coeffs), tol=tol)
     return float(np.max(norms) / norms[-1])
 
 
@@ -174,7 +162,6 @@ def sign_ratio(
     A: Iterable[int],
     signs: Mapping[int, float] | Sequence[float],
     p: float,
-    mesh: MeshConfig | None = None,
     tol: float = 1e-8,
 ) -> float:
     """|| sum_{j in A} eps_j x_j ||_p / || sum_{j in A} x_j ||_p."""
@@ -189,7 +176,7 @@ def sign_ratio(
         raise ValueError("signs must be +1 or -1")
     num = Expansion(params, mode, eps)
     den = Expansion(params, mode, {j: 1.0 for j in A})
-    return expansion_lp_norm(num, p, mesh, tol) / expansion_lp_norm(den, p, mesh, tol)
+    return expansion_lp_norm(num, p, tol) / expansion_lp_norm(den, p, tol)
 
 
 def default_search_family(N: int, seed: int = 0, random_sets: int = 3) -> dict[str, tuple[int, ...]]:
@@ -214,7 +201,6 @@ def democracy_scan(
     N: int,
     p: float,
     search: Mapping[str, Sequence[int]] | None = None,
-    mesh: MeshConfig | None = None,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> DemocracyReport:
@@ -228,7 +214,7 @@ def democracy_scan(
         raise ValueError("N must be >= 1")
     fam = {k: tuple(v) for k, v in (search or default_search_family(N, seed)).items()}
     norms = {
-        name: expansion_lp_norm(Expansion(params, mode, {j: 1.0 for j in A}), p, mesh, tol)
+        name: expansion_lp_norm(Expansion(params, mode, {j: 1.0 for j in A}), p, tol)
         for name, A in fam.items()
     }
     upper = max(norms, key=norms.get)

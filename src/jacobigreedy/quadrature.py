@@ -11,12 +11,17 @@ Two integration paths:
   This is the general path: |f|^p for non-even p is not a polynomial, and
   the transformed weight behaves like theta^{2 alpha + 1} near 0 and
   (pi - theta)^{2 beta + 1} near pi.
+
+The mesh has no configuration: its panel count follows the highest
+polynomial degree in the integrand (the `degree` of lp_norm and
+lp_norms_of_rows, the largest degree of a family), which sets the
+oscillation it must resolve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,44 +72,23 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     return QuadratureRule(params=params, nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class MeshConfig:
-    """Composite Gauss mesh in the theta variable.
-
-    panels_per_unit counts panels per unit of theta before grading;
-    endpoint_grading >= 1 is the geometric ratio of the graded panels
-    stacked toward theta = 0 and theta = pi (1 disables grading).
-    """
-
-    panels_per_unit: int = 4
-    points_per_panel: int = 12
-    endpoint_grading: float = 2.0
-
-    def __post_init__(self):
-        if self.panels_per_unit < 1 or self.points_per_panel < 2:
-            raise ValueError("mesh too coarse")
-        if self.endpoint_grading < 1.0:
-            raise ValueError("endpoint_grading must be >= 1")
-
-    def scaled_for_degree(self, maxdeg: int) -> "MeshConfig":
-        """Mesh resolving the oscillation of degree-maxdeg Jacobi polynomials."""
-        need = max(self.panels_per_unit, int(math.ceil((maxdeg + 8) / 5.0)))
-        return replace(self, panels_per_unit=need)
-
-
+_POINTS_PER_PANEL = 12
+_GRADING = 2.0  # geometric ratio of the panels stacked toward theta = 0 and pi
 _GRADING_LEVELS = 36  # smallest graded panel is ~g^-36 of the core panel
 
 
-def theta_mesh(mesh: MeshConfig, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points and d-theta weights on (0, pi) at the given refinement level."""
-    n_core = max(4, math.ceil(mesh.panels_per_unit * (2**level) * math.pi))
+def theta_mesh(degree: int = 0, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points and d-theta weights on (0, pi) at the given refinement level.
+
+    The core panel count resolves the oscillation of degree-`degree` Jacobi
+    polynomials and doubles with each level.
+    """
+    panels_per_unit = max(4, math.ceil((degree + 8) / 5.0))
+    n_core = max(4, math.ceil(panels_per_unit * (2**level) * math.pi))
     bp = np.linspace(0.0, math.pi, n_core + 1)
-    g = mesh.endpoint_grading
-    if g > 1.0:
-        h = bp[1]
-        graded = h * g ** (-np.arange(_GRADING_LEVELS, 0, -1, dtype=float))
-        bp = np.concatenate([[0.0], graded, bp[1:-1], math.pi - graded[::-1], [math.pi]])
-    gx, gw = np.polynomial.legendre.leggauss(mesh.points_per_panel)
+    graded = bp[1] * _GRADING ** (-np.arange(_GRADING_LEVELS, 0, -1, dtype=float))
+    bp = np.concatenate([[0.0], graded, bp[1:-1], math.pi - graded[::-1], [math.pi]])
+    gx, gw = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
     lo, hi = bp[:-1], bp[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -126,7 +110,7 @@ def mu_theta_weight(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
 def _converge(
     estimator: Callable[[np.ndarray, np.ndarray], float | np.ndarray],
     params: JacobiParams,
-    mesh: MeshConfig,
+    degree: int,
     tol: float,
     max_refine: int = 7,
 ):
@@ -141,7 +125,7 @@ def _converge(
         raise ValueError("max_refine must be >= 1")
     prev = est = None
     for level in range(max_refine + 1):
-        theta, w = theta_mesh(mesh, level)
+        theta, w = theta_mesh(degree, level)
         prev, est = est, np.asarray(estimator(theta, w * mu_theta_weight(params, theta)), dtype=float)
         if not np.all(np.isfinite(est)):
             raise EvaluationError("integrand produced non-finite values")
@@ -160,48 +144,48 @@ def lp_norm(
     f: Callable[[np.ndarray], np.ndarray],
     params: JacobiParams,
     p: float,
-    mesh: MeshConfig | None = None,
+    degree: int = 0,
     tol: float = 1e-8,
     max_refine: int = 7,
 ) -> float:
-    """( integral |f|^p d mu )^{1/p} on (-1, 1); f must accept numpy arrays of x."""
+    """( integral |f|^p d mu )^{1/p} on (-1, 1); f must accept numpy arrays of x.
+
+    degree is the highest polynomial degree in f, which sets the mesh density.
+    """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    mesh = mesh or MeshConfig()
 
     def estimator(theta, w):
         vals = np.abs(np.asarray(f(np.cos(theta)), dtype=float))
         return np.dot(w, vals**p) ** (1.0 / p)
 
-    return float(_converge(estimator, params, mesh, tol, max_refine))
-
-
-def _family_values(family, x: np.ndarray) -> np.ndarray:
-    """Rows of function values; family is a .values(x) provider or a list of callables."""
-    if hasattr(family, "values"):
-        return np.asarray(family.values(x), dtype=float)
-    return np.vstack([np.asarray(f(x), dtype=float) for f in family])
+    return float(_converge(estimator, params, degree, tol, max_refine))
 
 
 def square_function_norm(
     family,
     params: JacobiParams,
     p: float,
-    mesh: MeshConfig | None = None,
     tol: float = 1e-8,
     max_refine: int = 7,
 ) -> float:
-    """|| (sum_j |f_j|^2)^{1/2} ||_{Lp(mu)}, one shared mesh pass over the family."""
+    """|| (sum_j |f_j|^2)^{1/2} ||_{Lp(mu)}, one shared mesh pass over the family.
+
+    family is a greedy.JacobiFamily: it has len(), .degrees and .values(x),
+    the (len(family), len(x)) matrix of element values.
+    """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    mesh = mesh or MeshConfig()
 
     def estimator(theta, w):
-        rows = _family_values(family, np.cos(theta))
+        rows = family.values(np.cos(theta))
         sq = np.sum(rows * rows, axis=0)
         return np.dot(w, sq ** (p / 2.0)) ** (1.0 / p)
 
-    return float(_converge(estimator, params, mesh, tol, max_refine))
+    return float(_converge(estimator, params, max(family.degrees), tol, max_refine))
+
+
+_BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
 
 
 def rademacher_average_norm(
@@ -210,37 +194,34 @@ def rademacher_average_norm(
     p: float,
     samples: int = 64,
     seed: int = 0,
-    mesh: MeshConfig | None = None,
     tol: float = 1e-8,
     max_refine: int = 7,
-    bootstrap: int = 200,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}.
 
-    Signs are iid uniform on {-1, +1}, deterministic for a given seed.
-    Returns (estimate, bootstrap standard error of the estimate).
+    family is as for square_function_norm. Signs are iid uniform on {-1, +1},
+    deterministic for a given seed. Returns (estimate, bootstrap standard
+    error of the estimate).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    mesh = mesh or MeshConfig()
     ss_signs, ss_boot = np.random.SeedSequence(seed).spawn(2)
-    probe = _family_values(family, np.zeros(1))
-    nfun = probe.shape[0]
+    nfun = len(family)
     signs = np.random.default_rng(ss_signs).integers(0, 2, size=(samples, nfun)) * 2.0 - 1.0
     pth_powers: np.ndarray | None = None
 
     def estimator(theta, w):
         nonlocal pth_powers
-        rows = _family_values(family, np.cos(theta))
+        rows = family.values(np.cos(theta))
         combos = signs @ rows
         pth_powers = np.abs(combos) ** p @ w
         return float(np.mean(pth_powers)) ** (1.0 / p)
 
-    est = float(_converge(estimator, params, mesh, tol, max_refine))
+    est = float(_converge(estimator, params, max(family.degrees), tol, max_refine))
     rng = np.random.default_rng(ss_boot)
-    idx = rng.integers(0, samples, size=(bootstrap, samples))
+    idx = rng.integers(0, samples, size=(_BOOTSTRAP, samples))
     boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
     return est, float(np.std(boots, ddof=1))
 
@@ -249,17 +230,19 @@ def lp_norms_of_rows(
     rows_fn: Callable[[np.ndarray], np.ndarray],
     params: JacobiParams,
     p: float,
-    mesh: MeshConfig | None = None,
+    degree: int = 0,
     tol: float = 1e-8,
     max_refine: int = 7,
 ) -> np.ndarray:
-    """Lp(mu) norms of several functions sharing one mesh; rows_fn(x) -> (k, len(x))."""
+    """Lp(mu) norms of several functions sharing one mesh; rows_fn(x) -> (k, len(x)).
+
+    degree is the highest polynomial degree in the rows, as for lp_norm.
+    """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    mesh = mesh or MeshConfig()
 
     def estimator(theta, w):
         rows = np.asarray(rows_fn(np.cos(theta)), dtype=float)
         return (np.abs(rows) ** p @ w) ** (1.0 / p)
 
-    return np.asarray(_converge(estimator, params, mesh, tol, max_refine))
+    return np.asarray(_converge(estimator, params, degree, tol, max_refine))

@@ -19,7 +19,7 @@ from jacobigreedy.jacobi import (
     eval_P,
     value_at_one,
 )
-from jacobigreedy.quadrature import MeshConfig, gauss_jacobi_rule
+from jacobigreedy.quadrature import gauss_jacobi_rule
 from jacobigreedy.greedy import Expansion, JacobiFamily, greedy_approx, greedy_ordering, quasi_greedy_ratio
 from jacobigreedy.experiments import (
     ExperimentConfig,

@@ -29,6 +29,11 @@ class TestExitCodes:
                     "--out", str(tmp_path)])
         assert code == 2
 
+    def test_identity_check_N_max_below_one(self, tmp_path, capsys):
+        code = run(["identity-check", "--N-max", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: N_max=0")
+
     def test_invalid_alpha(self, tmp_path):
         code = run(["norms", "--alpha", "-2", "--out", str(tmp_path)])
         assert code == 2

@@ -10,6 +10,7 @@ from jacobigreedy.jacobi import JacobiParams, NormalizationMode
 from jacobigreedy.greedy import (
     Expansion,
     JacobiFamily,
+    basis_scales,
     default_search_family,
     democracy_scan,
     expansion_lp_norm,
@@ -18,7 +19,7 @@ from jacobigreedy.greedy import (
     quasi_greedy_ratio,
     sign_ratio,
 )
-from jacobigreedy.quadrature import MeshConfig, gauss_jacobi_rule
+from jacobigreedy.quadrature import gauss_jacobi_rule
 
 LEG = JacobiParams(0.0, 0.0)
 ON = NormalizationMode.orthonormal()
@@ -166,6 +167,16 @@ class TestSignRatio:
         )
 
 
+class TestBasisScales:
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.5, -0.3)])
+    def test_p2_lp_normalized_is_orthonormal(self, ab):
+        # ||p_n||_2 = 1 by definition, so the L2-normalized basis is the orthonormal one
+        params = JacobiParams(*ab)
+        degrees = (0, 5, 40, 100)
+        got = basis_scales(params, NormalizationMode.lp_normalized(2.0), degrees)
+        assert np.array_equal(got, basis_scales(params, ON, degrees))
+
+
 class TestExpansionNorm:
     def test_p2_parseval(self):
         e = Expansion(LEG, ON, {0: 3.0, 2: -4.0})
@@ -177,8 +188,7 @@ class TestExpansionNorm:
         # bypass the fast path by integrating |f|^2 on the graded mesh
         from jacobigreedy.quadrature import lp_norm
 
-        mesh = MeshConfig().scaled_for_degree(8)
-        general = lp_norm(e.evaluate, LEG, 2.0, mesh=mesh, tol=1e-10)
+        general = lp_norm(e.evaluate, LEG, 2.0, degree=8, tol=1e-10)
         assert general == pytest.approx(exact, rel=1e-9)
 
     def test_p2_large_alpha_high_degree(self):

@@ -9,7 +9,6 @@ from jacobigreedy.greedy import JacobiFamily
 from jacobigreedy.quadrature import (
     ConvergenceError,
     EvaluationError,
-    MeshConfig,
     gauss_jacobi_rule,
     lp_norm,
     lp_norms_of_rows,
@@ -80,7 +79,7 @@ class TestGaussJacobiRule:
 
 class TestThetaMesh:
     def test_weights_integrate_dtheta(self):
-        theta, w = theta_mesh(MeshConfig())
+        theta, w = theta_mesh()
         assert np.sum(w) == pytest.approx(math.pi, rel=1e-13)
         assert np.all(np.diff(theta) > 0)
         assert theta[0] > 0 and theta[-1] < math.pi
@@ -88,12 +87,26 @@ class TestThetaMesh:
     def test_refinement_doubles_interior_panels(self):
         # the graded endpoint panels stay fixed across levels; only the
         # interior panel count doubles, so the point count grows by exactly
-        # points_per_panel times the previous interior panel count
-        cfg = MeshConfig()
-        sizes = [theta_mesh(cfg, level=lev)[0].size for lev in range(4)]
+        # 12 points per panel times the previous interior panel count
+        sizes = [theta_mesh(level=lev)[0].size for lev in range(4)]
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
-        interior0 = max(4, math.ceil(cfg.panels_per_unit * math.pi))
-        assert sizes[1] - sizes[0] == cfg.points_per_panel * interior0
+        interior0 = max(4, math.ceil(4 * math.pi))
+        assert sizes[1] - sizes[0] == 12 * interior0
+
+    @pytest.mark.parametrize(
+        "degree,sizes",
+        [
+            (0, [1020, 1176, 1476]),
+            (12, [1020, 1176, 1476]),
+            (13, [1056, 1248, 1620]),
+            (64, [1440, 2004, 3132]),
+            (512, [4788, 8712, 16548]),
+            (4096, [31824, 62772, 124668]),
+        ],
+    )
+    def test_density_follows_degree(self, degree, sizes):
+        # max(4, ceil((degree + 8) / 5)) panels per unit of theta at level 0
+        assert [theta_mesh(degree, level)[0].size for level in range(3)] == sizes
 
 
 class TestLpNorm:
@@ -105,8 +118,7 @@ class TestLpNorm:
         params = JacobiParams(*ab)
         for n in (0, 5, 40, 100):
             fam = JacobiFamily(params, NormalizationMode.orthonormal(), (n,))
-            mesh = MeshConfig().scaled_for_degree(n)
-            v = lp_norm(lambda x: fam.values(x)[0], params, 2.0, mesh=mesh)
+            v = lp_norm(lambda x: fam.values(x)[0], params, 2.0, degree=n)
             assert v == pytest.approx(1.0, abs=1e-8)
 
     def test_monotone_in_p_for_probability_measure(self):
@@ -163,41 +175,31 @@ class TestSquareFunctionNorm:
         assert square_function_norm(fam, LEG, 2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_family(self):
-        c = 0.7
-        v = square_function_norm([lambda x: np.full_like(x, c)], LEG, 3.0)
-        assert v == pytest.approx(c * total_mass(LEG) ** (1 / 3), rel=1e-9)
-
-    def test_list_of_callables_matches_family(self):
-        fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), (2, 5, 9))
-        funcs = [lambda x, i=i: fam.values(x)[i] for i in range(3)]
-        mesh = MeshConfig().scaled_for_degree(9)
-        a = square_function_norm(fam, LEG, 3.0, mesh=mesh)
-        b = square_function_norm(funcs, LEG, 3.0, mesh=mesh)
-        assert a == pytest.approx(b, rel=1e-12)
+        # the sqrt-scaled element of degree 0 is the constant 1
+        fam = JacobiFamily(LEG, NormalizationMode.sqrt_scaled(), (0,))
+        v = square_function_norm(fam, LEG, 3.0)
+        assert v == pytest.approx(total_mass(LEG) ** (1 / 3), rel=1e-9)
 
     def test_orthonormal_block_scales_like_sqrt_N(self):
         ratios = []
         for N in (4, 16, 64):
             fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), range(N, 3 * N, 2))
-            mesh = MeshConfig().scaled_for_degree(3 * N)
-            ratios.append(square_function_norm(fam, LEG, 3.0, mesh=mesh) / math.sqrt(N))
+            ratios.append(square_function_norm(fam, LEG, 3.0) / math.sqrt(N))
         assert max(ratios) / min(ratios) < 1.5
 
 
 class TestRademacherAverage:
     def test_singleton_sign_irrelevant(self):
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), (7,))
-        mesh = MeshConfig().scaled_for_degree(7)
-        m1, _ = rademacher_average_norm(fam, LEG, 3.0, samples=4, seed=1, mesh=mesh)
-        direct = lp_norm(lambda x: fam.values(x)[0], LEG, 3.0, mesh=mesh)
+        m1, _ = rademacher_average_norm(fam, LEG, 3.0, samples=4, seed=1)
+        direct = lp_norm(lambda x: fam.values(x)[0], LEG, 3.0, degree=7)
         assert m1 == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("seed", [0, 123])
     def test_p2_orthonormal_is_sqrt_N(self, seed):
         N = 12
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), range(N))
-        mesh = MeshConfig().scaled_for_degree(N)
-        mean, _ = rademacher_average_norm(fam, LEG, 2.0, samples=8, seed=seed, mesh=mesh)
+        mean, _ = rademacher_average_norm(fam, LEG, 2.0, samples=8, seed=seed)
         assert mean == pytest.approx(math.sqrt(N), abs=1e-6)
 
     def test_deterministic_given_seed(self):
@@ -209,7 +211,6 @@ class TestRademacherAverage:
     def test_comparable_to_square_function(self):
         N = 16
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), range(N, 3 * N, 2))
-        mesh = MeshConfig().scaled_for_degree(3 * N)
-        mean, _ = rademacher_average_norm(fam, LEG, 3.0, samples=32, seed=3, mesh=mesh)
-        sq = square_function_norm(fam, LEG, 3.0, mesh=mesh)
+        mean, _ = rademacher_average_norm(fam, LEG, 3.0, samples=32, seed=3)
+        sq = square_function_norm(fam, LEG, 3.0)
         assert 0.5 < mean / sq < 2.0
