@@ -77,6 +77,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         if "config" in loaded and isinstance(loaded["config"], dict):
             loaded = loaded["config"]  # accept a manifest file directly
         cfg.update({k: v for k, v in loaded.items() if k in cfg})
@@ -225,8 +227,9 @@ def _identity_check(cfg: dict):
     params = JacobiParams(cfg["alpha"], cfg["beta"])
     rng = np.random.default_rng(cfg["seed"])
     trials, n_cap = cfg["trials"], cfg["N_max"]
-    if n_cap < 1:
-        raise ValueError(f"N_max={n_cap} must be >= 1")
+    for key in ("N_max", "trials"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key}={cfg[key]} must be >= 1")
     worst: dict[int, float] = {}
     per_call = max(1, trials // n_cap)
     for N in range(1, n_cap + 1):
@@ -303,7 +306,6 @@ def main(argv=None) -> int:
         {
             "command": command,
             "config": cfg,
-            "output_dir": str(outdir),
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },

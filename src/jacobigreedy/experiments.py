@@ -26,15 +26,15 @@ from .quadrature import rademacher_average_norm, square_function_norm
 from .greedy import Expansion, JacobiFamily, _orthonormal_lp_norm, expansion_lp_norm
 
 
-def geometric_grid(lo: int, hi: int, ratio: int = 2) -> list[int]:
-    """lo, lo*ratio, ... up to hi inclusive."""
-    if lo < 1 or hi < lo or ratio < 2:
+def geometric_grid(lo: int, hi: int) -> list[int]:
+    """lo, 2 lo, 4 lo, ... up to hi inclusive."""
+    if lo < 1 or hi < lo:
         raise ValueError("bad grid bounds")
     out = []
     v = lo
     while v <= hi:
         out.append(v)
-        v *= ratio
+        v *= 2
     return out
 
 
@@ -102,6 +102,8 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        if not self.tol > 0:  # also rejects nan
+            raise ValueError(f"tol={self.tol} must be > 0")
         for g in (self.n_grid, self.N_grid):
             if g and min(g) < 1:
                 raise ValueError("grid sizes must be >= 1")
@@ -249,37 +251,31 @@ def near_one_experiment(
     params: JacobiParams,
     n_grid: Sequence[int],
     d_sweep: Sequence[float] = (0.5, 0.25, 0.125),
-    grid_points: int = 33,
-    ratio_cap: float = 10.0,
 ) -> NearOneResult:
     """Envelope of P_n(x)/n^alpha over near-one windows, plus root scaling.
 
     Picks the largest d in the sweep whose envelope stays positive with
-    max/min <= ratio_cap. The largest root z_n obeys 1 - z_n ~ n^{-2}.
+    max/min <= 10. The largest root z_n obeys 1 - z_n ~ n^{-2}.
     """
     rows = []
     chosen = None
     for d in sorted(d_sweep, reverse=True):
         lo, hi = math.inf, -math.inf
         for n in n_grid:
-            a, b = near_one_ratio_range(params, n, d, grid_points)
+            a, b = near_one_ratio_range(params, n, d)
             lo, hi = min(lo, a), max(hi, b)
         rows.append((float(d), lo, hi))
-        if chosen is None and lo > 0 and hi / lo <= ratio_cap:
+        if chosen is None and lo > 0 and hi / lo <= 10.0:
             chosen = float(d)
     roots = [largest_root(params, n) for n in n_grid]
     root_fit = fit_loglog(n_grid, [1.0 - z for z in roots], label="largest-root")
     return NearOneResult(rows=tuple(rows), chosen_d=chosen, root_fit=root_fit)
 
 
-def darboux_envelope(
-    params: JacobiParams,
-    n_grid: Sequence[int],
-    theta_lo: float = 0.1,
-    theta_points: int = 200,
-) -> list[tuple[int, float]]:
-    """Per n: max over theta of |n^{1/2} P_n(cos t) - main term| * n sin t / k(t)."""
-    th = np.linspace(theta_lo, math.pi - theta_lo, theta_points)
+def darboux_envelope(params: JacobiParams, n_grid: Sequence[int]) -> list[tuple[int, float]]:
+    """Per n: max over theta of |n^{1/2} P_n(cos t) - main term| * n sin t / k(t),
+    on 200 evenly spaced theta in [0.1, pi - 0.1]."""
+    th = np.linspace(0.1, math.pi - 0.1, 200)
     k = darboux_amplitude(params, th)
     phi = darboux_phase(params, th)
     out = []

@@ -18,7 +18,6 @@ import numpy as np
 from .jacobi import (
     JacobiParams,
     NormalizationMode,
-    basis_scale,
     eval_P,
     eval_P_many,
     jacobi_combination,
@@ -38,12 +37,21 @@ def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int, tol: float
 
 
 def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]) -> np.ndarray:
-    """Multipliers s_n (basis element = s_n * P_n) for each requested degree."""
+    """Multipliers s_n (basis element = s_n * P_n) for each requested degree.
+
+    orthonormal: d_n; sqrt-scaled: sqrt(n), and 1 at n = 0; lp: d_n / ||p_n||_p.
+    """
+    if mode.tag == "sqrt-scaled":
+        return np.array([math.sqrt(n) if n >= 1 else 1.0 for n in degrees])
+    scales = np.array([orthonormal_const(params, n) for n in degrees])
     if mode.tag == "lp":
-        backend = lambda n: _orthonormal_lp_norm(params.alpha, params.beta, mode.p, n)
-    else:
-        backend = None
-    return np.array([basis_scale(params, mode, n, backend) for n in degrees])
+        scales /= [_orthonormal_lp_norm(params.alpha, params.beta, mode.p, n) for n in degrees]
+    return scales
+
+
+def eval_basis(params: JacobiParams, mode: NormalizationMode, n: int, x) -> float | np.ndarray:
+    """Basis element s_n * P_n in the requested normalization, evaluated at x."""
+    return float(basis_scales(params, mode, [n])[0]) * eval_P(params, n, x)
 
 
 class JacobiFamily:
@@ -96,13 +104,6 @@ class Expansion:
 
 
 @dataclass(frozen=True)
-class GreedyOrdering:
-    """Support permutation: decreasing |coefficient|, ties by increasing degree."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DemocracyReport:
     N: int
     phi_u_estimate: float
@@ -110,17 +111,17 @@ class DemocracyReport:
     witness_sets: dict = field(default_factory=dict)
 
 
-def greedy_ordering(e: Expansion) -> GreedyOrdering:
-    """The unique greedy ordering of the support (exact-equality tie break)."""
-    order = sorted(e.coeffs, key=lambda j: (-abs(e.coeffs[j]), j))
-    return GreedyOrdering(order=tuple(order))
+def greedy_ordering(e: Expansion) -> tuple[int, ...]:
+    """The unique greedy ordering of the support: decreasing |coefficient|,
+    ties by increasing degree (exact-equality tie break)."""
+    return tuple(sorted(e.coeffs, key=lambda j: (-abs(e.coeffs[j]), j)))
 
 
 def greedy_approx(e: Expansion, m: int) -> Expansion:
     """Keep the first min(m, |support|) coefficients in greedy order."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    keep = greedy_ordering(e).order[:m]
+    keep = greedy_ordering(e)[:m]
     return Expansion(e.params, e.mode, {j: e.coeffs[j] for j in keep})
 
 
@@ -144,7 +145,7 @@ def quasi_greedy_ratio(e: Expansion, p: float, tol: float = 1e-8) -> float:
         raise ValueError("expansion must be nonzero")
     if p == 2.0:
         return 1.0
-    order = greedy_ordering(e).order
+    order = greedy_ordering(e)
     scaled = e.scaled_coeffs()
 
     def partial_sums(x):  # rows G_1(x), ..., G_M(x)
@@ -179,9 +180,9 @@ def sign_ratio(
     return expansion_lp_norm(num, p, tol) / expansion_lp_norm(den, p, tol)
 
 
-def default_search_family(N: int, seed: int = 0, random_sets: int = 3) -> dict[str, tuple[int, ...]]:
+def default_search_family(N: int, seed: int = 0) -> dict[str, tuple[int, ...]]:
     """Candidate size-N index sets: contiguous block, staggered block {N+2n},
-    a lacunary set when it fits in double range, and seeded random sets."""
+    a lacunary set when it fits in double range, and three seeded random sets."""
     fam: dict[str, tuple[int, ...]] = {
         "contiguous": tuple(range(N)),
         "staggered": tuple(N + 2 * n for n in range(N)),
@@ -189,7 +190,7 @@ def default_search_family(N: int, seed: int = 0, random_sets: int = 3) -> dict[s
     if N <= 14:
         fam["lacunary"] = tuple(2**k for k in range(N))
     rng = np.random.default_rng(np.random.SeedSequence((seed, N)))
-    for r in range(random_sets):
+    for r in range(3):
         picked = rng.choice(8 * N, size=N, replace=False)
         fam[f"random{r}"] = tuple(sorted(int(j) for j in picked))
     return fam
@@ -200,7 +201,6 @@ def democracy_scan(
     mode: NormalizationMode,
     N: int,
     p: float,
-    search: Mapping[str, Sequence[int]] | None = None,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> DemocracyReport:
@@ -212,7 +212,7 @@ def democracy_scan(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    fam = {k: tuple(v) for k, v in (search or default_search_family(N, seed)).items()}
+    fam = default_search_family(N, seed)
     norms = {
         name: expansion_lp_norm(Expansion(params, mode, {j: 1.0 for j in A}), p, tol)
         for name, A in fam.items()

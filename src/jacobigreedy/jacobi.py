@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -219,37 +219,6 @@ def orthonormal_const(params: JacobiParams, n: int) -> float:
     return math.exp(0.5 * log_d2)
 
 
-def basis_scale(
-    params: JacobiParams,
-    mode: NormalizationMode,
-    n: int,
-    lp_norm_of_orthonormal: Callable[[int], float] | None = None,
-) -> float:
-    """Multiplier s_n such that the basis element is s_n * P_n.
-
-    For "lp" mode a backend callable n -> ||p_n||_{Lp(mu)} must be supplied
-    (see greedy.basis_scales, which wires in the quadrature module).
-    """
-    if mode.tag == "orthonormal":
-        return orthonormal_const(params, n)
-    if mode.tag == "sqrt-scaled":
-        return math.sqrt(n) if n >= 1 else 1.0
-    if lp_norm_of_orthonormal is None:
-        raise ValueError("lp normalization requires an Lp-norm backend")
-    return orthonormal_const(params, n) / lp_norm_of_orthonormal(n)
-
-
-def eval_basis(
-    params: JacobiParams,
-    mode: NormalizationMode,
-    n: int,
-    x,
-    lp_norm_of_orthonormal: Callable[[int], float] | None = None,
-) -> float | np.ndarray:
-    """Basis element in the requested normalization, evaluated at x."""
-    return basis_scale(params, mode, n, lp_norm_of_orthonormal) * eval_P(params, n, x)
-
-
 def eval_derivative(params: JacobiParams, n: int, x) -> float | np.ndarray:
     """(P_n^{(alpha,beta)})'(x) = (1+alpha+beta+n)/2 * P_{n-1}^{(alpha+1,beta+1)}(x)."""
     if n < 1:
@@ -286,20 +255,20 @@ def darboux_phase(params: JacobiParams, theta) -> np.ndarray | float:
     return float(phi) if phi.ndim == 0 else phi
 
 
-def darboux_terms(params: JacobiParams, n: int, theta: float, delta: float = 1.0) -> DarbouxTerms:
+def darboux_terms(params: JacobiParams, n: int, theta: float) -> DarbouxTerms:
     """Amplitude, phase, main term and error scale of the oscillatory asymptotic.
 
     Valid (with uniformly bounded error / error_bound_scale) for
-    delta/n <= theta <= pi - delta/n; outside that window a warning is issued.
+    1/n <= theta <= pi - 1/n; outside that window a warning is issued.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if not (0.0 < theta < math.pi):
         raise DomainError("theta must lie in (0, pi)")
-    if not (delta / n <= theta <= math.pi - delta / n):
+    if not (1.0 / n <= theta <= math.pi - 1.0 / n):
         warnings.warn(
-            f"theta={theta:.3g} outside the validity window [{delta / n:.3g}, "
-            f"{math.pi - delta / n:.3g}]; error bound may not apply",
+            f"theta={theta:.3g} outside the validity window [{1.0 / n:.3g}, "
+            f"{math.pi - 1.0 / n:.3g}]; error bound may not apply",
             stacklevel=2,
         )
     k = darboux_amplitude(params, theta)
@@ -313,7 +282,7 @@ def darboux_terms(params: JacobiParams, n: int, theta: float, delta: float = 1.0
     )
 
 
-def near_one_window(params: JacobiParams, n: int, d: float = 0.5) -> tuple[float, float]:
+def near_one_window(n: int, d: float = 0.5) -> tuple[float, float]:
     """The interval [1 - d/n^2, 1] where P_n(x) stays comparable to n^alpha."""
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -322,12 +291,10 @@ def near_one_window(params: JacobiParams, n: int, d: float = 0.5) -> tuple[float
     return (1.0 - d / n**2, 1.0)
 
 
-def near_one_ratio_range(
-    params: JacobiParams, n: int, d: float = 0.5, grid_points: int = 33
-) -> tuple[float, float]:
-    """(min, max) of P_n(x)/n^alpha over an even grid in the near-one window."""
-    lo, hi = near_one_window(params, n, d)
-    xs = np.linspace(lo, hi, grid_points)
+def near_one_ratio_range(params: JacobiParams, n: int, d: float = 0.5) -> tuple[float, float]:
+    """(min, max) of P_n(x)/n^alpha over 33 evenly spaced x in the near-one window."""
+    lo, hi = near_one_window(n, d)
+    xs = np.linspace(lo, hi, 33)
     vals = eval_P(params, n, xs) / float(n) ** params.alpha
     return float(vals.min()), float(vals.max())
 

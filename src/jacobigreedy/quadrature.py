@@ -75,6 +75,7 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
 _POINTS_PER_PANEL = 12
 _GRADING = 2.0  # geometric ratio of the panels stacked toward theta = 0 and pi
 _GRADING_LEVELS = 36  # smallest graded panel is ~g^-36 of the core panel
+_MAX_REFINE = 7  # mesh doublings before _converge gives up
 
 
 def theta_mesh(degree: int = 0, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +113,6 @@ def _converge(
     params: JacobiParams,
     degree: int,
     tol: float,
-    max_refine: int = 7,
 ):
     """Run estimator on successively doubled meshes until two levels agree.
 
@@ -121,10 +121,8 @@ def _converge(
     Returns the converged value; ConvergenceError carries the estimates of
     the last two levels.
     """
-    if max_refine < 1:
-        raise ValueError("max_refine must be >= 1")
     prev = est = None
-    for level in range(max_refine + 1):
+    for level in range(_MAX_REFINE + 1):
         theta, w = theta_mesh(degree, level)
         prev, est = est, np.asarray(estimator(theta, w * mu_theta_weight(params, theta)), dtype=float)
         if not np.all(np.isfinite(est)):
@@ -135,7 +133,7 @@ def _converge(
                 return est if est.ndim else float(est)
     i = np.argmax(change)  # report the component that changed most
     raise ConvergenceError(
-        f"no convergence to tol={tol:g} after {max_refine} refinements",
+        f"no convergence to tol={tol:g} after {_MAX_REFINE} refinements",
         estimates=(float(prev.flat[i]), float(est.flat[i])),
     )
 
@@ -146,7 +144,6 @@ def lp_norm(
     p: float,
     degree: int = 0,
     tol: float = 1e-8,
-    max_refine: int = 7,
 ) -> float:
     """( integral |f|^p d mu )^{1/p} on (-1, 1); f must accept numpy arrays of x.
 
@@ -159,7 +156,7 @@ def lp_norm(
         vals = np.abs(np.asarray(f(np.cos(theta)), dtype=float))
         return np.dot(w, vals**p) ** (1.0 / p)
 
-    return float(_converge(estimator, params, degree, tol, max_refine))
+    return float(_converge(estimator, params, degree, tol))
 
 
 def square_function_norm(
@@ -167,7 +164,6 @@ def square_function_norm(
     params: JacobiParams,
     p: float,
     tol: float = 1e-8,
-    max_refine: int = 7,
 ) -> float:
     """|| (sum_j |f_j|^2)^{1/2} ||_{Lp(mu)}, one shared mesh pass over the family.
 
@@ -182,7 +178,7 @@ def square_function_norm(
         sq = np.sum(rows * rows, axis=0)
         return np.dot(w, sq ** (p / 2.0)) ** (1.0 / p)
 
-    return float(_converge(estimator, params, max(family.degrees), tol, max_refine))
+    return float(_converge(estimator, params, max(family.degrees), tol))
 
 
 _BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
@@ -195,7 +191,6 @@ def rademacher_average_norm(
     samples: int = 64,
     seed: int = 0,
     tol: float = 1e-8,
-    max_refine: int = 7,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}.
 
@@ -219,7 +214,7 @@ def rademacher_average_norm(
         pth_powers = np.abs(combos) ** p @ w
         return float(np.mean(pth_powers)) ** (1.0 / p)
 
-    est = float(_converge(estimator, params, max(family.degrees), tol, max_refine))
+    est = float(_converge(estimator, params, max(family.degrees), tol))
     rng = np.random.default_rng(ss_boot)
     idx = rng.integers(0, samples, size=(_BOOTSTRAP, samples))
     boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
@@ -232,7 +227,6 @@ def lp_norms_of_rows(
     p: float,
     degree: int = 0,
     tol: float = 1e-8,
-    max_refine: int = 7,
 ) -> np.ndarray:
     """Lp(mu) norms of several functions sharing one mesh; rows_fn(x) -> (k, len(x)).
 
@@ -245,4 +239,4 @@ def lp_norms_of_rows(
         rows = np.asarray(rows_fn(np.cos(theta)), dtype=float)
         return (np.abs(rows) ** p @ w) ** (1.0 / p)
 
-    return np.asarray(_converge(estimator, params, degree, tol, max_refine))
+    return np.asarray(_converge(estimator, params, degree, tol))

@@ -196,7 +196,7 @@ def test_criterion_10_greedy_invariants():
         support = rng.choice(16, size=size, replace=False)
         coeffs = {int(j): float(rng.choice(choices)) for j in support}
         e = Expansion(LEG, mode, coeffs)
-        ok &= greedy_ordering(e).order == _brute_force_order(e.coeffs)
+        ok &= greedy_ordering(e) == _brute_force_order(e.coeffs)
     # nesting, idempotence, p=2 contraction on 100 random expansions
     worst_ratio = 0.0
     for _ in range(100):

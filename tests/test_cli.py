@@ -34,6 +34,33 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: N_max=0")
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_identity_check_trials_below_one(self, tmp_path, capsys, trials):
+        code = run(["identity-check", "--trials", trials, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: trials={trials}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--tol", "0"],  # p = 2 integrates nothing, so no later check sees tol
+            ["norms", "--p", "3", "--tol", "nan"],
+            ["witness", "--p", "3", "--tol", "-1"],
+        ],
+    )
+    def test_tol_not_positive(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol=") and "must be > 0" in err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.parametrize("payload", [[1, 2], "p=3", None])
+    def test_config_not_an_object(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["norms", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_invalid_alpha(self, tmp_path):
         code = run(["norms", "--alpha", "-2", "--out", str(tmp_path)])
         assert code == 2
@@ -57,6 +84,7 @@ class TestOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "witness"
         assert manifest["config"]["p"] == 3.0
+        assert "output_dir" not in manifest  # config.out already records it
 
     @pytest.mark.parametrize(
         "cmd,args",

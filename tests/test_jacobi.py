@@ -16,7 +16,6 @@ from jacobigreedy.jacobi import (
     darboux_terms,
     eval_P,
     eval_P_many,
-    eval_basis,
     eval_derivative,
     jacobi_combination,
     largest_root,
@@ -25,6 +24,7 @@ from jacobigreedy.jacobi import (
     orthonormal_const,
     value_at_one,
 )
+from jacobigreedy.greedy import eval_basis
 
 LEG = JacobiParams(0.0, 0.0)
 B = jacobi._BLOCK
@@ -218,9 +218,15 @@ class TestEvalBasis:
         s = basis_scales(LEG, mode, [3])[0]
         assert s == pytest.approx(orthonormal_const(LEG, 3), rel=1e-8)
 
-    def test_lp_mode_needs_backend(self):
-        with pytest.raises(ValueError):
-            eval_basis(LEG, NormalizationMode.lp_normalized(3.0), 2, 0.1)
+    def test_lp_mode_is_unit_lp_norm(self):
+        # d_2 P_2 / ||p_2||_3, with ||p_2||_3 by mpmath between the roots +-3^{-1/2}
+        d2 = orthonormal_const(LEG, 2)
+        p2 = lambda x: d2 * (3 * x**2 - 1) / 2
+        r = 1 / mpmath.sqrt(3)
+        norm3 = float(mpmath.quad(lambda x: abs(p2(x)) ** 3, [-1, -r, r, 1]) ** (mpmath.mpf(1) / 3))
+        xs = np.array([-0.9, 0.1, 0.5])
+        got = eval_basis(LEG, NormalizationMode.lp_normalized(3.0), 2, xs)
+        assert got == pytest.approx(d2 * eval_P(LEG, 2, xs) / norm3, rel=1e-9)
 
 
 class TestDerivative:
@@ -283,7 +289,7 @@ class TestDarboux:
 
 class TestNearOne:
     def test_window_arithmetic(self):
-        assert near_one_window(LEG, 10, 1.0) == (0.99, 1.0)
+        assert near_one_window(10, 1.0) == (0.99, 1.0)
 
     def test_legendre_ratio_envelope(self):
         los, his = [], []
