@@ -149,6 +149,7 @@ def _experiment_config(cfg: dict, **grids) -> ExperimentConfig:
 
 
 def _norms(cfg: dict):
+    cfg["mode"] = "orthonormal"  # the norms are of p_n whatever --mode says; record the mode run
     ecfg = _experiment_config(cfg, n_grid=_grid(cfg, "n"))
     fit = norm_regimes_experiment(ecfg)
     line = f"regime={fit.label} slope={fit.slope:.4f} max_residual={fit.max_residual:.4f}"

@@ -144,7 +144,7 @@ def norm_regimes_experiment(cfg: ExperimentConfig) -> SlopeFit:
         raise ValueError("n_grid must be set")
     _, q_crit = critical_exponents(cfg.params)
     a, b = cfg.params.alpha, cfg.params.beta
-    values = [_orthonormal_lp_norm(a, b, cfg.p, n, cfg.tol) for n in cfg.n_grid]
+    values = [_orthonormal_lp_norm(a, b, cfg.p, n) for n in cfg.n_grid]
     if abs(cfg.p - q_crit) < 1e-9:
         ln = np.log(np.array(cfg.n_grid, dtype=float))
         yp = np.array(values) ** cfg.p

@@ -286,8 +286,8 @@ def near_one_window(n: int, d: float = 0.5) -> tuple[float, float]:
     """The interval [1 - d/n^2, 1] where P_n(x) stays comparable to n^alpha."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if d <= 0:
-        raise DomainError("d must be > 0")
+    if not (math.isfinite(d) and d > 0):  # nan and inf pass d <= 0
+        raise DomainError(f"d={d} must be finite and > 0")
     return (1.0 - d / n**2, 1.0)
 
 

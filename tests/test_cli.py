@@ -61,6 +61,12 @@ class TestExitCodes:
         assert run(["norms", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["nan", "inf"])
+    def test_near_one_d_not_finite(self, tmp_path, capsys, d):
+        assert run(["near-one", "--d", d, "--n-max", "40", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: d={d} must be finite and > 0")
+        assert not (tmp_path / "near-one.csv").exists()
+
     def test_invalid_alpha(self, tmp_path):
         code = run(["norms", "--alpha", "-2", "--out", str(tmp_path)])
         assert code == 2
@@ -140,6 +146,18 @@ class TestReproducibility:
         old.write_text(json.dumps(manifest))
         assert run(["block-sum", "--config", str(old), "--out", str(b)]) == 0
         assert (a / "block-sum.csv").read_bytes() == (b / "block-sum.csv").read_bytes()
+
+    def test_norms_manifest_records_mode_that_ran(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["norms", "--p", "3", "--n-min", "8", "--n-max", "16"]
+        assert run([*args, "--mode", "lp", "--out", str(a)]) == 0
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "orthonormal"
+        echo = json.loads((a / "norms.json").read_text())["config"]
+        assert echo == {k: v for k, v in manifest["config"].items() if k != "out"}
+        assert run([*args, "--out", str(b)]) == 0
+        assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()
+        assert (a / "norms.json").read_bytes() == (b / "norms.json").read_bytes()
 
     def test_manifest_with_removed_threads_key_loads(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

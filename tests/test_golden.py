@@ -10,6 +10,8 @@ quantities to 1e-12 absolute) and every string matches exactly.
 Regenerate the stored files, only for an intended change of numbers, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which leaves the PARSEVAL cases' reference files as they are.
 """
 
 import csv
@@ -101,7 +103,14 @@ def test_golden(case, tmp_path):
 
 
 def regenerate() -> None:
+    """Rewrite the stored files of every case but the PARSEVAL ones.
+
+    Those hold Gauss-Jacobi quadrature results that the closed-form path
+    is checked against; the command can no longer produce them.
+    """
     for case, argv in CASES.items():
+        if case in PARSEVAL:
+            continue
         outdir = GOLDEN / case
         if main([*argv, "--out", str(outdir)]) != 0:
             raise SystemExit(f"{case}: non-zero exit")

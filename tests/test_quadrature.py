@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 import mpmath
+from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi
 
-from jacobigreedy.jacobi import JacobiParams, NormalizationMode
-from jacobigreedy.greedy import JacobiFamily
+from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P, orthonormal_const
+from jacobigreedy.greedy import JacobiFamily, _orthonormal_lp_norm
 from jacobigreedy.quadrature import (
     ConvergenceError,
     EvaluationError,
     gauss_jacobi_rule,
     lp_norm,
+    lp_norm_between_zeros,
     lp_norms_of_rows,
     rademacher_average_norm,
     square_function_norm,
@@ -66,6 +68,15 @@ class TestGaussJacobiRule:
             exact = moment_exact(params, k)
             got = rule.integrate(lambda x: x**k)
             assert got == pytest.approx(exact, rel=1e-11, abs=1e-13)
+
+    def test_small_weights_keep_relative_accuracy(self):
+        # the weight (1-x)^3 (1+x)^301 peaks near x = 0.98, while (1-x)^95 times it
+        # peaks near 0.5, where the Gauss weights are ~1e-60 of the largest
+        params, m = JacobiParams(3.0, 301.0), 48
+        k = 2 * m - 1
+        exact = math.exp((3.0 + 301.0 + k + 1) * math.log(2.0) + betaln(3.0 + k + 1, 302.0))
+        got = gauss_jacobi_rule(params, m).integrate(lambda x: (1 - x) ** k)
+        assert got == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("ab", PARAM_GRID)
     def test_orthonormal_gram_is_identity(self, ab):
@@ -211,3 +222,106 @@ class TestRademacherAverage:
         mean, _ = rademacher_average_norm(fam, LEG, 3.0, samples=32, seed=3)
         sq = square_function_norm(fam, LEG, 3.0)
         assert 0.5 < mean / sq < 2.0
+
+
+# (alpha, beta) from Legendre through alpha near -1/2 to large alpha
+ZERO_PANEL_GRID = [(0.0, 0.0), (1.0, 0.5), (-0.45, 0.0), (10.0, 0.0), (25.0, 3.0)]
+
+
+def oracle_orthonormal_norms(a: float, b: float, n: int, ps) -> list[float]:
+    """||p_n||_p for each p by mpmath's adaptive tanh-sinh on the theta-panels.
+
+    The panels end at the zeros of P_n from scipy's roots_jacobi, and the
+    integrand uses scipy's eval_jacobi with d_n from log-gamma: nothing is
+    shared with the package's recurrence, Jacobi matrix or panel rules. The
+    integrand is evaluated in double precision, which bounds the oracle at
+    about 1e-15 relative; mpmath sums and refines at 15 digits. Values are
+    memoized across p, since tanh-sinh visits the same nodes for each.
+    """
+    log_d2 = (
+        math.log(2 * n + a + b + 1) + gammaln(n + a + b + 1) + gammaln(n + 1)
+        - (a + b + 1) * math.log(2) - gammaln(n + a + 1) - gammaln(n + b + 1)
+    )
+    dn = math.exp(0.5 * log_d2)
+    memo = {}
+
+    def parts(t):
+        if t not in memo:
+            tf = float(t)
+            weight = 2.0 ** (a + b + 1) * math.sin(tf / 2) ** (2 * a + 1) * math.cos(tf / 2) ** (2 * b + 1)
+            memo[t] = (abs(dn * eval_jacobi(n, a, b, math.cos(tf))), weight)
+        return memo[t]
+
+    panels = [0.0, *sorted(np.arccos(roots_jacobi(n, a, b)[0]).tolist()), mpmath.pi]
+    out = []
+    with mpmath.workdps(15):
+        for p in ps:
+            integral = mpmath.quad(lambda t: parts(t)[0] ** p * parts(t)[1], panels)
+            out.append(float(integral ** (1 / mpmath.mpf(p))))
+    return out
+
+
+class TestNormBetweenZeros:
+    @pytest.mark.parametrize("n", [1, 8, 40])
+    @pytest.mark.parametrize("ab", ZERO_PANEL_GRID)
+    def test_matches_mpmath(self, ab, n):
+        ps = (1.5, 2.5, 3.0, 7.3)
+        want = oracle_orthonormal_norms(*ab, n, ps)
+        got = [_orthonormal_lp_norm(*ab, p, n) for p in ps]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("ab", ZERO_PANEL_GRID)
+    def test_even_p_matches_exact_gauss_rule(self, ab, p):
+        # |p_n|^p is a polynomial of degree p n <= 6 n, so 3n + 1 Gauss nodes are exact
+        params = JacobiParams(*ab)
+        for n in (1, 8, 40, 256):
+            rule = gauss_jacobi_rule(params, 3 * n + 1)
+            dn = orthonormal_const(params, n)
+            exact = rule.integrate(lambda x: np.abs(dn * eval_P(params, n, x)) ** p) ** (1 / p)
+            assert _orthonormal_lp_norm(*ab, float(p), n) == pytest.approx(exact, rel=5e-12)
+
+    def test_peaked_end_panel_refines(self):
+        # at beta = 150, p = 20 the end panel at pi holds a narrow peak: a fixed
+        # 32-point rule is 98 % off and 64 points 23 %; the exact rule needs p n / 2 + 1 nodes
+        params, p, n = JacobiParams(0.0, 150.0), 20, 128
+        rule = gauss_jacobi_rule(params, p * n // 2 + 1)
+        dn = orthonormal_const(params, n)
+        vals = np.abs(dn * eval_P(params, n, rule.nodes))
+        top = vals.max()  # |p_n|^20 overflows unscaled
+        exact = top * float(np.dot(rule.weights, (vals / top) ** p)) ** (1 / p)
+        assert _orthonormal_lp_norm(0.0, 150.0, float(p), n) == pytest.approx(exact, rel=1e-12)
+
+    def test_unsettled_end_panels_raise(self, monkeypatch):
+        import jacobigreedy.quadrature as quadrature
+
+        monkeypatch.setattr(quadrature, "_END_PANEL_MAX", 64)
+        params, n = JacobiParams(0.0, 150.0), 128
+        dn = orthonormal_const(params, n)
+        zeros = roots_jacobi(n, 0.0, 150.0)[0]
+        with pytest.raises(ConvergenceError) as info:
+            lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, 20.0, zeros)
+        coarse, fine = info.value.estimates
+        assert math.isfinite(coarse) and math.isfinite(fine) and coarse != fine
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 7.3])
+    @pytest.mark.parametrize("ab", ZERO_PANEL_GRID)
+    def test_degree_zero_closed_form(self, ab, p):
+        # p_0 = mass^{-1/2}, so ||p_0||_p = mass^{1/p - 1/2}
+        mass = total_mass(JacobiParams(*ab))
+        assert _orthonormal_lp_norm(*ab, p, 0) == pytest.approx(mass ** (1 / p - 0.5), rel=1e-14)
+
+    def test_large_alpha_within_hoelder_bounds(self):
+        # P_2000^{(150, 0)} reaches ~1e228 near x = 1, and d mu / d theta underflows there
+        params = JacobiParams(150.0, 0.0)
+        n, p = 2000, 3.0
+        mass = total_mass(params)
+        sup = orthonormal_const(params, n) * eval_P(params, n, 1.0)  # |p_n| peaks at x = 1
+        got = _orthonormal_lp_norm(150.0, 0.0, p, n)
+        assert math.isfinite(got)
+        assert mass ** (1 / p - 0.5) <= got <= sup * mass ** (1 / p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        with pytest.raises(EvaluationError):
+            lp_norm_between_zeros(lambda x: np.where(x > 0, bad, x), LEG, 3.0, np.array([0.0]))
