@@ -22,7 +22,7 @@ from .jacobi import (
     largest_root,
     near_one_ratio_range,
 )
-from .quadrature import rademacher_average_norm, square_function_norm
+from .quadrature import family_norms, rademacher_average_norm
 from .greedy import Expansion, JacobiFamily, _orthonormal_lp_norm, expansion_lp_norm
 
 
@@ -189,30 +189,33 @@ def average_block_experiment(cfg: ExperimentConfig) -> AverageBlockResult:
     _, q_crit = critical_exponents(cfg.params)
     if not (1.0 <= cfg.p < q_crit):
         raise ValueError(f"p={cfg.p} outside [1, q_crit={q_crit:g})")
-    sq_vals, rad_means, rad_errs, used = [], [], [], []
+    return _average_block(cfg, lambda N: ())[0]
+
+
+def _average_block(cfg: ExperimentConfig, combos_for) -> tuple[AverageBlockResult, tuple]:
+    """average_block_experiment, plus the norms of the combinations combos_for(N) of
+    the family over A_N, taken on the same family passes (quadrature.family_norms)."""
+    rows = []
     for N in cfg.N_grid:
         fam = JacobiFamily(cfg.params, cfg.mode, staggered_block(N))
-        sq_vals.append(square_function_norm(fam, cfg.params, cfg.p, tol=cfg.tol))
-        samples = cfg.samples
-        seed = _child_seed(cfg.seed, N)
-        mean, err = rademacher_average_norm(
-            fam, cfg.params, cfg.p, samples=samples, seed=seed, tol=cfg.tol
-        )
+        samples, seed = cfg.samples, _child_seed(cfg.seed, N)
+        norms, square, (mean, err) = family_norms(fam, cfg.params, cfg.p, cfg.tol, combos_for(N),
+                                                  square=True, samples=samples, seed=seed)
         if err > 0.02 * mean:  # one automatic doubling of the sample count
             samples *= 2
             mean, err = rademacher_average_norm(
                 fam, cfg.params, cfg.p, samples=samples, seed=seed, tol=cfg.tol
             )
-        rad_means.append(mean)
-        rad_errs.append(err)
-        used.append(samples)
-    return AverageBlockResult(
+        rows.append((square, mean, err, samples, norms))
+    sq_vals, rad_means, rad_errs, used, combos = zip(*rows)
+    result = AverageBlockResult(
         square_fit=fit_loglog(cfg.N_grid, sq_vals, resid_tol=0.05, label="square-function"),
         rademacher_fit=fit_loglog(cfg.N_grid, rad_means, resid_tol=0.05, label="rademacher"),
         rademacher_stderrs=tuple(rad_errs),
         ratios=tuple(r / s for r, s in zip(rad_means, sq_vals)),
         samples_used=tuple(used),
     )
+    return result, combos
 
 
 def _child_seed(seed: int, tag: int) -> int:
@@ -313,22 +316,26 @@ def main_theorem_witness(
     boundedness of the greedy operators (expected for every p != 2).
     """
     N_grid = tuple(int(N) for N in N_grid)
-    block_cfg = ExperimentConfig(
+    cfg = ExperimentConfig(
         params=params, p=p, mode=NormalizationMode.sqrt_scaled(),
         N_grid=N_grid, seed=seed, samples=samples, tol=tol,
     )
-    block = block_sum_experiment(block_cfg)
-    # the average baseline uses the same sqrt-scaled family as the block sum,
-    # so at p = 2 both quantities coincide exactly and the gap is a clean zero
-    avg = average_block_experiment(block_cfg)
-    # sign ratios ||sum eps_j x_j||_p / ||sum x_j||_p; the denominators are the block norms
-    ratios = []
-    for N, block_norm in zip(N_grid, block.ys):
-        A = staggered_block(N)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, N)))
-        eps = rng.integers(0, 2, size=len(A)) * 2.0 - 1.0
-        signed = Expansion(params, block_cfg.mode, dict(zip(A, eps)))
-        ratios.append(expansion_lp_norm(signed, p, tol=tol) / block_norm)
+    if not N_grid:
+        raise ValueError("N_grid must be set")
+    omega_exponent(params, p)  # validates the Schauder range, which lies in [1, q_crit)
+    # coefficients of the block sum sum_j x_j and of one random-sign sum sum_j eps_j x_j
+    # over A_N, whose quotient is the sign ratio
+    coeffs = {N: (np.ones(N), np.random.default_rng(np.random.SeedSequence((seed, 1, N)))
+                  .integers(0, 2, size=N) * 2.0 - 1.0) for N in N_grid}
+    # the average baseline uses the same sqrt-scaled family as the block sum, so
+    # at p = 2 both quantities coincide exactly and the gap is a clean zero; there
+    # the sums are Parseval sums, elsewhere they ride on the family passes
+    avg, sums = _average_block(cfg, lambda N: coeffs[N] if p != 2.0 else ())
+    if p == 2.0:
+        sums = [[expansion_lp_norm(Expansion(params, cfg.mode, dict(zip(staggered_block(N), c))), p)
+                 for c in coeffs[N]] for N in N_grid]
+    block = fit_loglog(N_grid, [s[0] for s in sums], resid_tol=0.05, label="block-sum")
+    ratios = [signed / block_norm for block_norm, signed in sums]
     gap = block.slope - avg.square_fit.slope
     residual = max(block.max_residual, avg.square_fit.max_residual)
     if abs(gap) > 3.0 * residual:

@@ -12,7 +12,6 @@ largest_root is the top eigenvalue of the Jacobi matrix (Golub-Welsch).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -181,16 +180,6 @@ def jacobi_combination(params: JacobiParams, coeffs: Mapping[int, float], x) -> 
     return acc.reshape(xv.shape)
 
 
-def log_binom(a: float, n: int) -> float:
-    """log of the generalized binomial binom(n+a, n) = Gamma(n+a+1)/(Gamma(a+1) n!)."""
-    return math.lgamma(n + a + 1.0) - math.lgamma(a + 1.0) - math.lgamma(n + 1.0)
-
-
-def value_at_one(params: JacobiParams, n: int) -> float:
-    """binom(n+alpha, n), the pinned value P_n(1)."""
-    return math.exp(log_binom(params.alpha, n))
-
-
 def orthonormal_const(params: JacobiParams, n: int) -> float:
     """d_n with p_n = d_n P_n orthonormal in L2(mu); d_n ~ sqrt(n) for large n.
 
@@ -219,24 +208,6 @@ def orthonormal_const(params: JacobiParams, n: int) -> float:
     return math.exp(0.5 * log_d2)
 
 
-def eval_derivative(params: JacobiParams, n: int, x) -> float | np.ndarray:
-    """(P_n^{(alpha,beta)})'(x) = (1+alpha+beta+n)/2 * P_{n-1}^{(alpha+1,beta+1)}(x)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
-    return 0.5 * (1.0 + params.alpha + params.beta + n) * eval_P(shifted, n - 1, x)
-
-
-@dataclass(frozen=True)
-class DarbouxTerms:
-    """First asymptotic term of n^{1/2} P_n(cos theta) away from the endpoints."""
-
-    k_theta: float
-    phi_theta: float
-    main_term: float
-    error_bound_scale: float
-
-
 def darboux_amplitude(params: JacobiParams, theta) -> np.ndarray | float:
     """k(theta) = pi^{-1/2} sin(theta/2)^{-alpha-1/2} cos(theta/2)^{-beta-1/2}."""
     th = np.asarray(theta, dtype=float)
@@ -253,33 +224,6 @@ def darboux_phase(params: JacobiParams, theta) -> np.ndarray | float:
     th = np.asarray(theta, dtype=float)
     phi = (params.alpha + params.beta + 1.0) * th / 2.0 - (2.0 * params.alpha + 1.0) * math.pi / 4.0
     return float(phi) if phi.ndim == 0 else phi
-
-
-def darboux_terms(params: JacobiParams, n: int, theta: float) -> DarbouxTerms:
-    """Amplitude, phase, main term and error scale of the oscillatory asymptotic.
-
-    Valid (with uniformly bounded error / error_bound_scale) for
-    1/n <= theta <= pi - 1/n; outside that window a warning is issued.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not (0.0 < theta < math.pi):
-        raise DomainError("theta must lie in (0, pi)")
-    if not (1.0 / n <= theta <= math.pi - 1.0 / n):
-        warnings.warn(
-            f"theta={theta:.3g} outside the validity window [{1.0 / n:.3g}, "
-            f"{math.pi - 1.0 / n:.3g}]; error bound may not apply",
-            stacklevel=2,
-        )
-    k = darboux_amplitude(params, theta)
-    phi = darboux_phase(params, theta)
-    main = k * math.cos(n * theta + phi)
-    return DarbouxTerms(
-        k_theta=k,
-        phi_theta=phi,
-        main_term=main,
-        error_bound_scale=k / (n * math.sin(theta)),
-    )
 
 
 def near_one_window(n: int, d: float = 0.5) -> tuple[float, float]:

@@ -20,7 +20,11 @@ Three integration paths:
 The mesh has no configuration: its panel count follows the highest
 polynomial degree in the integrand (the `degree` of lp_norm and
 lp_norms_of_rows, the largest degree of a family), which sets the
-oscillation it must resolve.
+oscillation it must resolve. Quantities on one mesh share its levels, each
+until it has converged (_converge). A family's quantities (family_norms)
+come from one jacobi_iter pass per level over blocks of jacobi._BLOCK
+points, each reduced over the family, so no (rows x points) matrix is held
+whole; lp_norms_of_rows also sums block by block.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln
 
-from .jacobi import JacobiParams, jacobi_matrix
+from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix
 
 
 class ConvergenceError(RuntimeError):
@@ -231,30 +235,31 @@ def lp_norm_between_zeros(
     return estimates[1]
 
 
-def _converge(
-    estimator: Callable[[np.ndarray, np.ndarray], float | np.ndarray],
-    params: JacobiParams,
-    degree: int,
-    tol: float,
-):
-    """Run estimator on successively doubled meshes until two levels agree.
+def _converge(estimator, params: JacobiParams, degree: int, tol: float, count: int = 1) -> list:
+    """Run estimator on successively doubled meshes until each of its `count` quantities converges.
 
-    estimator receives (theta, combined quadrature-times-measure weights) and
-    may return a scalar or a vector; agreement is max relative change <= tol.
-    Returns the converged value; ConvergenceError carries the estimates of
-    the last two levels.
+    estimator gets (theta, quadrature-times-measure weights, ascending indices
+    of the quantities still open) and returns a scalar or vector estimate for
+    each; one converges, and drops out, once the max relative change of its
+    estimate between two levels is <= tol. Returns the converged values;
+    ConvergenceError carries the last two estimates of the first one open.
     """
-    prev = est = None
+    last, done, open_ = [(None, None)] * count, [None] * count, list(range(count))
     for level in range(_MAX_REFINE + 1):
         theta, w = theta_mesh(degree, level)
-        prev, est = est, np.asarray(estimator(theta, w * mu_theta_weight(params, theta)), dtype=float)
-        if not np.all(np.isfinite(est)):
-            raise EvaluationError("integrand produced non-finite values")
-        if prev is not None:
-            change = np.abs(est - prev) / np.maximum(np.abs(est), 1e-300)
-            if np.max(change) <= tol:
-                return est if est.ndim else float(est)
-    i = np.argmax(change)  # report the component that changed most
+        for q, est in zip(tuple(open_), estimator(theta, w * mu_theta_weight(params, theta), tuple(open_))):
+            est = np.asarray(est, dtype=float)
+            if not np.all(np.isfinite(est)):
+                raise EvaluationError("integrand produced non-finite values")
+            prev = last[q][1]
+            last[q] = (prev, est)
+            if prev is not None and np.max(np.abs(est - prev) / np.maximum(np.abs(est), 1e-300)) <= tol:
+                done[q] = est if est.ndim else float(est)
+                open_.remove(q)
+        if not open_:
+            return done
+    prev, est = last[open_[0]]
+    i = np.argmax(np.abs(est - prev) / np.maximum(np.abs(est), 1e-300))  # the component that changed most
     raise ConvergenceError(
         f"no convergence to tol={tol:g} after {_MAX_REFINE} refinements",
         estimates=(float(prev.flat[i]), float(est.flat[i])),
@@ -275,11 +280,93 @@ def lp_norm(
     if p < 1.0:
         raise ValueError("p must be >= 1")
 
-    def estimator(theta, w):
+    def estimator(theta, w, open_):
         vals = np.abs(np.asarray(f(np.cos(theta)), dtype=float))
-        return np.dot(w, vals**p) ** (1.0 / p)
+        return [np.dot(w, vals**p) ** (1.0 / p)]
 
-    return float(_converge(estimator, params, degree, tol))
+    return _converge(estimator, params, degree, tol)[0]
+
+
+def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs: np.ndarray | None):
+    """(sum_j coeffs[i, j] f_j for each row i, sum_j f_j^2 or None, |signs @ rows| or None) at x.
+
+    One jacobi_iter run per block of _BLOCK points; the family is reduced
+    within the block, so each result runs over the points of x only.
+    """
+    size, width = x.size, min(x.size, _BLOCK)
+    at: dict[int, list[int]] = {}
+    for j, d in enumerate(family.degrees):
+        at.setdefault(d, []).append(j)
+    comb = np.zeros((len(coeffs), size))
+    sq = np.zeros(size) if square else None
+    rad = None if signs is None else np.empty((len(signs), size))
+    rows = np.empty((len(family) if rad is not None else 1, width))  # the sign sums need all rows
+    tmp = np.empty(width)
+    for lo in range(0, size, _BLOCK):
+        block, m = slice(lo, lo + _BLOCK), min(_BLOCK, size - lo)
+        parts, sq_part, t = comb[:, block], None if sq is None else sq[block], tmp[:m]
+        for n, pn in jacobi_iter(family.params, x[block], max(family.degrees)):
+            for j in at.get(n, ()):
+                for part, c in zip(parts, coeffs[:, j]):  # ascending n, as in jacobi_combination
+                    part += np.multiply(pn, c, out=t)
+                if sq is not None or rad is not None:
+                    row = np.multiply(pn, family.scales[j], out=rows[j if rad is not None else 0, :m])
+                    if sq is not None:
+                        sq_part += np.multiply(row, row, out=t)
+        if rad is not None:
+            np.matmul(signs, rows[:, :m], out=rad[:, block])
+    return comb, sq, None if rad is None else np.abs(rad, out=rad)
+
+
+_BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
+
+
+def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, combos=(),
+                 square: bool = False, samples: int | None = None, seed: int = 0) -> tuple:
+    """Lp(mu) norms of quantities of one family f_j = s_j P_{d_j}, one recurrence pass per mesh level.
+
+    family is a greedy.JacobiFamily (.params, .degrees, .scales s_j). Returns
+    (norms of the combos, square, rademacher):
+    * || sum_j c_j f_j ||_p for each coefficient vector c in combos, (c_j s_j) P_n
+      added in ascending n as in jacobi.jacobi_combination;
+    * if square, || (sum_j f_j^2)^{1/2} ||_p, else None;
+    * if samples is given (>= 1), the Rademacher average ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}
+      over `samples` sign vectors, iid uniform on {-1, +1} and fixed by seed,
+      with the bootstrap standard error of the estimate; else None.
+    Each converges on its own. Memory: O(_BLOCK x rows) for the pass, and
+    O(points) per quantity (O(points x samples) for the sign sums).
+    """
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    coeffs = np.asarray(combos, dtype=float).reshape(len(combos), len(family)) * family.scales
+    k, signs, pth_powers = len(coeffs), None, None
+    if samples is not None:
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
+        sign_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
+        signs = np.random.default_rng(sign_seed).integers(0, 2, size=(samples, len(family))) * 2.0 - 1.0
+    rad_q = k + square  # the Rademacher quantity comes last
+
+    def estimator(theta, w, open_):
+        nonlocal pth_powers
+        comb, sq, rad = _family_pass(family, np.cos(theta), coeffs[[q for q in open_ if q < k]],
+                                     square and k in open_, signs if rad_q in open_ else None)
+        out = [np.dot(w, np.abs(row) ** p) ** (1.0 / p) for row in comb]
+        if sq is not None:
+            out.append(np.dot(w, sq ** (p / 2.0)) ** (1.0 / p))
+        if rad is not None:
+            rad **= p
+            pth_powers = rad @ w
+            out.append(float(np.mean(pth_powers)) ** (1.0 / p))
+        return out
+
+    values = _converge(estimator, params, max(family.degrees), tol, count=rad_q + (signs is not None))
+    rademacher = None
+    if signs is not None:
+        idx = np.random.default_rng(boot_seed).integers(0, samples, size=(_BOOTSTRAP, samples))
+        boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
+        rademacher = (values[rad_q], float(np.std(boots, ddof=1)))
+    return tuple(values[:k]), values[k] if square else None, rademacher
 
 
 def square_function_norm(
@@ -288,23 +375,8 @@ def square_function_norm(
     p: float,
     tol: float = 1e-8,
 ) -> float:
-    """|| (sum_j |f_j|^2)^{1/2} ||_{Lp(mu)}, one shared mesh pass over the family.
-
-    family is a greedy.JacobiFamily: it has len(), .degrees and .values(x),
-    the (len(family), len(x)) matrix of element values.
-    """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-
-    def estimator(theta, w):
-        rows = family.values(np.cos(theta))
-        sq = np.sum(rows * rows, axis=0)
-        return np.dot(w, sq ** (p / 2.0)) ** (1.0 / p)
-
-    return float(_converge(estimator, params, max(family.degrees), tol))
-
-
-_BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
+    """|| (sum_j |f_j|^2)^{1/2} ||_{Lp(mu)} of a greedy.JacobiFamily, by family_norms."""
+    return family_norms(family, params, p, tol, square=True)[1]
 
 
 def rademacher_average_norm(
@@ -315,33 +387,9 @@ def rademacher_average_norm(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate of ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}.
-
-    family is as for square_function_norm. Signs are iid uniform on {-1, +1},
-    deterministic for a given seed. Returns (estimate, bootstrap standard
-    error of the estimate).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    ss_signs, ss_boot = np.random.SeedSequence(seed).spawn(2)
-    nfun = len(family)
-    signs = np.random.default_rng(ss_signs).integers(0, 2, size=(samples, nfun)) * 2.0 - 1.0
-    pth_powers: np.ndarray | None = None
-
-    def estimator(theta, w):
-        nonlocal pth_powers
-        rows = family.values(np.cos(theta))
-        combos = signs @ rows
-        pth_powers = np.abs(combos) ** p @ w
-        return float(np.mean(pth_powers)) ** (1.0 / p)
-
-    est = float(_converge(estimator, params, max(family.degrees), tol))
-    rng = np.random.default_rng(ss_boot)
-    idx = rng.integers(0, samples, size=(_BOOTSTRAP, samples))
-    boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
-    return est, float(np.std(boots, ddof=1))
+    """(Monte-Carlo estimate of ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}, its bootstrap
+    standard error), by family_norms; the signs are deterministic for a given seed."""
+    return family_norms(family, params, p, tol, samples=samples, seed=seed)[2]
 
 
 def lp_norms_of_rows(
@@ -353,13 +401,17 @@ def lp_norms_of_rows(
 ) -> np.ndarray:
     """Lp(mu) norms of several functions sharing one mesh; rows_fn(x) -> (k, len(x)).
 
-    degree is the highest polynomial degree in the rows, as for lp_norm.
+    degree is the highest polynomial degree in the rows, as for lp_norm;
+    rows_fn sees one block of _BLOCK mesh points at a time.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
 
-    def estimator(theta, w):
-        rows = np.asarray(rows_fn(np.cos(theta)), dtype=float)
-        return (np.abs(rows) ** p @ w) ** (1.0 / p)
+    def estimator(theta, w, open_):
+        x, total = np.cos(theta), 0.0
+        for lo in range(0, x.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            total = total + np.abs(np.asarray(rows_fn(x[block]), dtype=float)) ** p @ w[block]
+        return [total ** (1.0 / p)]
 
-    return np.asarray(_converge(estimator, params, degree, tol))
+    return np.asarray(_converge(estimator, params, degree, tol)[0])

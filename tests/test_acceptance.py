@@ -17,7 +17,6 @@ from jacobigreedy.jacobi import (
     darboux_amplitude,
     darboux_phase,
     eval_P,
-    value_at_one,
 )
 from jacobigreedy.quadrature import gauss_jacobi_rule
 from jacobigreedy.greedy import Expansion, JacobiFamily, greedy_approx, greedy_ordering, quasi_greedy_ratio
@@ -31,6 +30,7 @@ from jacobigreedy.experiments import (
     norm_regimes_experiment,
 )
 from jacobigreedy.cli import main as cli_main
+from test_jacobi import value_at_one
 
 LEG = JacobiParams(0.0, 0.0)
 PARAM_PAIRS = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.3), (-0.4, 1.5)]

@@ -36,8 +36,9 @@ x = np.linspace(-0.9, 0.9, 5)
 jacobi.eval_P(leg, 3, x)
 jacobi.eval_P_many(leg, [1, 4], x)
 jacobi.jacobi_combination(leg, {0: 1.0, 3: 2.0}, x)
-# no module imports jacobi_iter, so wrap it here as install would
-for _ in tracer.wrap(jacobi.jacobi_iter, "jacobi")(leg, x, 3):
+# quadrature's family pass imports jacobi_iter by name, and install wrapped that binding
+assert quadrature.jacobi_iter.__wrapped__ is jacobi.jacobi_iter
+for _ in quadrature.jacobi_iter(leg, x, 3):
     pass
 jacobi.largest_root(leg, 5)
 quadrature.gauss_jacobi_rule(leg, 4)

@@ -40,6 +40,12 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: trials={trials}")
 
+    @pytest.mark.parametrize("command", ["average-block", "witness"])
+    def test_samples_below_one(self, tmp_path, capsys, command):
+        code = run([command, "--p", "3", "--N-max", "16", "--samples", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: samples must be >= 1")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,0 +1,189 @@
+"""The family pass against the allocating estimators it replaced, bit for bit.
+
+quadrature.family_norms evaluates a whole family once per mesh level and
+reduces it block by block. The oracle below keeps the estimators that came
+before it: each quantity on its own mesh-doubling loop, the family held as
+one (rows x mesh points) matrix (JacobiFamily.values), the block sums
+through jacobi_combination. Both must give the same floats.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from jacobigreedy import quadrature
+from jacobigreedy.experiments import (
+    ExperimentConfig,
+    _child_seed,
+    average_block_experiment,
+    main_theorem_witness,
+    staggered_block,
+)
+from jacobigreedy.greedy import JacobiFamily
+from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P_many, jacobi_combination
+from jacobigreedy.quadrature import (
+    _MAX_REFINE,
+    family_norms,
+    lp_norms_of_rows,
+    mu_theta_weight,
+    theta_mesh,
+)
+
+SQRT = NormalizationMode.sqrt_scaled()
+
+
+def oracle_converge(estimator, params, degree, tol):
+    """One quantity (scalar or vector) on successively doubled meshes, until two levels agree to tol."""
+    prev = None
+    for level in range(_MAX_REFINE + 1):
+        theta, w = theta_mesh(degree, level)
+        est = estimator(theta, w * mu_theta_weight(params, theta))
+        if prev is not None and np.max(np.abs(est - prev) / np.abs(est)) <= tol:
+            return est
+        prev = est
+    raise AssertionError("oracle did not converge")
+
+
+def oracle_combination_norm(fam, c, p, tol):
+    coeffs = {d: ci * s for d, ci, s in zip(fam.degrees, c, fam.scales)}
+    f = lambda x: jacobi_combination(fam.params, coeffs, x)
+    return float(oracle_converge(
+        lambda th, w: np.dot(w, np.abs(f(np.cos(th))) ** p) ** (1.0 / p), fam.params, max(fam.degrees), tol
+    ))
+
+
+def oracle_square_norm(fam, p, tol):
+    def estimator(theta, w):
+        rows = fam.values(np.cos(theta))
+        return np.dot(w, np.sum(rows * rows, axis=0) ** (p / 2.0)) ** (1.0 / p)
+
+    return float(oracle_converge(estimator, fam.params, max(fam.degrees), tol))
+
+
+def oracle_rademacher(fam, p, samples, seed, tol):
+    ss_signs, ss_boot = np.random.SeedSequence(seed).spawn(2)
+    signs = np.random.default_rng(ss_signs).integers(0, 2, size=(samples, len(fam))) * 2.0 - 1.0
+    pth = []
+
+    def estimator(theta, w):
+        pth[:] = [np.abs(signs @ fam.values(np.cos(theta))) ** p @ w]
+        return float(np.mean(pth[0])) ** (1.0 / p)
+
+    est = oracle_converge(estimator, fam.params, max(fam.degrees), tol)
+    idx = np.random.default_rng(ss_boot).integers(0, samples, size=(200, samples))
+    return est, float(np.std(np.mean(pth[0][idx], axis=1) ** (1.0 / p), ddof=1))
+
+
+def oracle_average(cfg):
+    """(square norms, Rademacher means, standard errors, samples used) per N."""
+    out = []
+    for N in cfg.N_grid:
+        fam = JacobiFamily(cfg.params, cfg.mode, staggered_block(N))
+        seed, samples = _child_seed(cfg.seed, N), cfg.samples
+        mean, err = oracle_rademacher(fam, cfg.p, samples, seed, cfg.tol)
+        if err > 0.02 * mean:
+            samples *= 2
+            mean, err = oracle_rademacher(fam, cfg.p, samples, seed, cfg.tol)
+        out.append((oracle_square_norm(fam, cfg.p, cfg.tol), mean, err, samples))
+    return [tuple(col) for col in zip(*out)]
+
+
+SETTINGS = [(0.0, 0.0, 3.0, 4, 1), (0.5, 0.0, 2.5, 4, 2)]  # alpha, beta, p, samples, seed
+GRID = (8, 16, 32)
+
+
+@pytest.mark.parametrize("a, b, p, samples, seed", SETTINGS)
+def test_average_block_matches_oracle(a, b, p, samples, seed):
+    cfg = ExperimentConfig(JacobiParams(a, b), p, mode=SQRT, N_grid=GRID, seed=seed,
+                           samples=samples, tol=1e-6)
+    got = average_block_experiment(cfg)
+    square, means, errs, used = oracle_average(cfg)
+    assert got.square_fit.ys == square
+    assert got.rademacher_fit.ys == means
+    assert got.rademacher_stderrs == errs
+    assert got.samples_used == used
+    assert max(used) == 2 * samples  # the doubled sample count is covered
+
+
+@pytest.mark.parametrize("a, b, p, samples, seed", SETTINGS)
+def test_witness_matches_oracle(a, b, p, samples, seed):
+    params = JacobiParams(a, b)
+    rep = main_theorem_witness(params, p, GRID, seed=seed, samples=samples, tol=1e-6)
+    cfg = ExperimentConfig(params, p, mode=SQRT, N_grid=GRID, seed=seed, samples=samples, tol=1e-6)
+    square, means, _, _ = oracle_average(cfg)
+    blocks, ratios = [], []
+    for N in GRID:
+        fam = JacobiFamily(params, SQRT, staggered_block(N))
+        eps = np.random.default_rng(np.random.SeedSequence((seed, 1, N))).integers(0, 2, size=N) * 2.0 - 1.0
+        blocks.append(oracle_combination_norm(fam, np.ones(N), p, 1e-6))
+        ratios.append(oracle_combination_norm(fam, eps, p, 1e-6) / blocks[-1])
+    assert rep.block_fit.ys == tuple(blocks)
+    assert rep.sign_ratios == tuple(ratios)
+    assert rep.square_fit.ys == square
+    assert rep.rademacher_fit.ys == means
+
+
+def test_quantities_split_across_blocks(monkeypatch):
+    # a 1000-point block cuts every mesh into several blocks, and the last one short
+    monkeypatch.setattr(quadrature, "_BLOCK", 1000)
+    params, p, tol = JacobiParams(0.5, 0.0), 3.0, 1e-6
+    fam = JacobiFamily(params, SQRT, staggered_block(16))
+    eps = np.where(np.arange(16) % 3, 1.0, -1.0)
+    combos, square, rademacher = family_norms(fam, params, p, tol, (np.ones(16), eps), square=True,
+                                              samples=8, seed=4)
+    assert combos == (oracle_combination_norm(fam, np.ones(16), p, tol),
+                      oracle_combination_norm(fam, eps, p, tol))
+    assert square == oracle_square_norm(fam, p, tol)
+    # the sign sums are one matrix product per block; a BLAS may round a short
+    # block's edge columns through another kernel than the whole mesh's
+    assert rademacher == pytest.approx(oracle_rademacher(fam, p, 8, 4, tol), rel=1e-14)
+
+
+def test_row_norms_summed_across_blocks(monkeypatch):
+    # lp_norms_of_rows sums its integrals block by block, an order of addition
+    # the whole-mesh matrix product did not have: equal to rounding, set at 1e-13
+    params, p, tol = JacobiParams(0.0, 0.0), 1.5, 1e-6
+    degrees, coeffs = (3, 40, 17, 90, 61), np.array([1.0, -0.7, 0.4, 0.9, -0.2])
+    rows_fn = lambda x: np.cumsum(eval_P_many(params, degrees, x) * coeffs[:, None], axis=0)
+    whole = oracle_converge(
+        lambda th, w: (np.abs(rows_fn(np.cos(th))) ** p @ w) ** (1.0 / p), params, max(degrees), tol
+    )
+    monkeypatch.setattr(quadrature, "_BLOCK", 1000)
+    split = lp_norms_of_rows(rows_fn, params, p, degree=max(degrees), tol=tol)
+    np.testing.assert_allclose(split, whole, rtol=1e-13, atol=0.0)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MEMORY_PROBE = """
+import resource
+import numpy as np
+import jacobigreedy as jg
+
+rng = np.random.default_rng(7)
+support = rng.choice(1000, size=50, replace=False)
+e = jg.Expansion(jg.JacobiParams(0.0, 0.0), jg.NormalizationMode.sqrt_scaled(),
+                 {int(j): float(c) for j, c in zip(support, rng.standard_normal(50))})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ratio = jg.quasi_greedy_ratio(e, 1.5, tol=1e-6)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(ratio, (after - before) / 1024)  # ru_maxrss is in KiB
+"""
+
+
+def test_greedy_partial_sums_are_reduced_block_by_block():
+    # The 50 partial sums, of degree up to 989, converge at level 4, a mesh of
+    # 121,512 points, where one (partial sums x points) matrix takes 49 MB.
+    # Holding the matrices whole grew the peak by 151 MB; by blocks it grows by
+    # about 31 MB. Run in a fresh interpreter, so the peak is this call's own.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    ratio, grown_mb = map(float, proc.stdout.split())
+    assert ratio >= 1.0
+    assert grown_mb < 80.0
