@@ -88,7 +88,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = flag
     for k, kind in _KEY_TYPES.items():
         if k in cfg:
-            cfg[k] = kind(cfg[k])
+            try:
+                cfg[k] = kind(cfg[k])
+            except (TypeError, ValueError):  # a --config value such as null or [1]
+                raise ValueError(f"{k}={json.dumps(cfg[k])} is not a valid {kind.__name__}") from None
+    for k in ("mode", "out"):
+        if not isinstance(cfg[k], str):
+            raise ValueError(f"{k}={json.dumps(cfg[k])} is not a valid str")
     return cfg
 
 
@@ -290,8 +296,8 @@ def main(argv=None) -> int:
     try:
         rows, fields, fit, line = COMMANDS[command].run(cfg)
         _write_csv(outdir / f"{command}.csv", COMMANDS[command].header, rows)
-        # the summary config echo excludes run-local keys so identical inputs
-        # give byte-identical summaries regardless of output location
+        # the config echo excludes run-local keys so identical inputs give
+        # byte-identical summaries and manifests regardless of output location
         echo = {k: v for k, v in cfg.items() if k != "out"}
         _write_json(outdir / f"{command}.json", {"config": echo, **fields})
         if fit is not None:
@@ -306,7 +312,7 @@ def main(argv=None) -> int:
         outdir / "manifest.json",
         {
             "command": command,
-            "config": cfg,
+            "config": echo,
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },

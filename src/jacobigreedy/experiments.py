@@ -102,8 +102,10 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.tol > 0:  # also rejects nan
-            raise ValueError(f"tol={self.tol} must be > 0")
+        if not math.isfinite(self.p):  # nan and inf would fail later, blaming other inputs
+            raise ValueError(f"p={self.p} must be finite")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol={self.tol} must be > 0 and finite")
         for g in (self.n_grid, self.N_grid):
             if g and min(g) < 1:
                 raise ValueError("grid sizes must be >= 1")

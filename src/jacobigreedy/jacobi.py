@@ -6,6 +6,8 @@ d mu(x) = (1-x)^alpha (1+x)^beta dx on (-1, 1).
 
 One kernel, jacobi_iter, runs the recurrence in three in-place buffers that
 each step overwrites; every evaluator feeds it blocks of at most _BLOCK points.
+Each step is P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, with the three
+coefficient ratios taken once as scalars, so no step divides a vector.
 largest_root is the top eigenvalue of the Jacobi matrix (Golub-Welsch).
 """
 
@@ -114,13 +116,15 @@ def jacobi_iter(params: JacobiParams, x: np.ndarray, nmax: int) -> Iterator[tupl
         c2 = (s - 1.0) * (a * a - b * b)
         c3 = (s - 1.0) * s * (s - 2.0)
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
-        # ((c3 * x + c2) * p_cur - c4 * p_prev) / c1, one operation at a time
-        np.multiply(x, c3, out=p_next)
-        p_next += c2
+        # (A x + B) p_cur - C p_prev with A, B, C = c3, c2, c4 over c1: scalar
+        # divides only, one in-place pass per operation, and no B pass when
+        # c2 = 0 (every alpha = beta)
+        np.multiply(x, c3 / c1, out=p_next)
+        if c2:
+            p_next += c2 / c1
         p_next *= p_cur
-        p_prev *= c4
+        p_prev *= c4 / c1
         p_next -= p_prev
-        p_next /= c1
         p_prev, p_cur, p_next = p_cur, p_next, p_prev
         yield n, p_cur
 

@@ -67,6 +67,36 @@ class TestExitCodes:
         assert run(["norms", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["norms", "--tol", "inf"], ["witness", "--p", "3", "--tol", "inf"]],
+    )
+    def test_tol_not_finite(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: tol=inf must be > 0 and finite")
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.parametrize("command", ["norms", "witness"])
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_p_not_finite(self, tmp_path, capsys, command, p):
+        assert run([command, "--p", p, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: p={p} must be finite")
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, shown",
+        [({"p": None}, "p=null"), ({"N_min": [1]}, "N_min=[1]"), ({"out": None}, "out=null")],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, payload, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        argv = ["block-sum", "--config", str(cfg)]
+        if "out" not in payload:
+            argv += ["--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {shown} is not a valid ")
+        assert not (tmp_path / "block-sum.csv").exists()
+
     @pytest.mark.parametrize("d", ["nan", "inf"])
     def test_near_one_d_not_finite(self, tmp_path, capsys, d):
         assert run(["near-one", "--d", d, "--n-max", "40", "--out", str(tmp_path)]) == 2
@@ -96,7 +126,7 @@ class TestOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "witness"
         assert manifest["config"]["p"] == 3.0
-        assert "output_dir" not in manifest  # config.out already records it
+        assert "output_dir" not in manifest  # the manifest records no output location
 
     @pytest.mark.parametrize(
         "cmd,args",
@@ -164,6 +194,19 @@ class TestReproducibility:
         assert run([*args, "--out", str(b)]) == 0
         assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()
         assert (a / "norms.json").read_bytes() == (b / "norms.json").read_bytes()
+
+    def test_manifest_independent_of_output_path(self, tmp_path):
+        args = ["identity-check", "--trials", "20", "--N-max", "4"]
+        short, long = tmp_path / "a", tmp_path / "a-much-longer-output-directory" / "b"
+        texts = []
+        for out in (short, long):
+            assert run([*args, "--out", str(out)]) == 0
+            lines = (out / "manifest.json").read_text().splitlines()
+            stamps = [i for i, line in enumerate(lines) if line.startswith('  "timestamp": ')]
+            assert len(stamps) == 1
+            del lines[stamps[0]]
+            texts.append(lines)
+        assert texts[0] == texts[1]
 
     def test_manifest_with_removed_threads_key_loads(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

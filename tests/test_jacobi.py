@@ -46,7 +46,7 @@ def reference_P(params, n, x):
         c2 = (s - 1.0) * (a * a - b * b)
         c3 = (s - 1.0) * s * (s - 2.0)
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p_prev, p_cur = p_cur, ((c3 * x + c2) * p_cur - c4 * p_prev) / c1
+        p_prev, p_cur = p_cur, (x * (c3 / c1) + c2 / c1) * p_cur - p_prev * (c4 / c1)
     return p_cur
 
 
@@ -186,6 +186,26 @@ class TestBlockedKernel:
                 eval_P_many(params, [3000], x)
             with pytest.raises(OverflowError):
                 eval_P(params, 3000, x)
+
+    @pytest.mark.parametrize("size", [1, B + 1])
+    def test_equal_exponents_bit_identical_to_reference(self, size):
+        # alpha = beta makes c2 = 0, and the kernel then skips the + B_n pass
+        params = JacobiParams(0.4, 0.4)
+        x = np.cos(np.linspace(0.1, math.pi, size))
+        assert np.array_equal(eval_P(params, 25, x), reference_P(params, 25, x))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 0.5), (0.5, 0.0), (-0.45, -0.45), (25.0, 3.0)])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_error_within_darboux_amplitude(self, a, b, n):
+        # 30-digit mpmath at the same rounded x, so only the recurrence's rounding
+        # counts; the error is scaled by the Darboux amplitude n^{-1/2} k(theta)
+        params = JacobiParams(a, b)
+        theta = np.linspace(0.1, math.pi - 0.1, 12)
+        x = np.cos(theta)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.jacobi(n, a, b, xi)) for xi in x])
+        scaled = np.abs(eval_P(params, n, x) - want) / (n**-0.5 * darboux_amplitude(params, theta))
+        assert scaled.max() <= 2e-12
 
 
 class TestOrthonormalConst:
