@@ -88,13 +88,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = flag
     for k, kind in _KEY_TYPES.items():
         if k in cfg:
-            try:
-                cfg[k] = kind(cfg[k])
-            except (TypeError, ValueError):  # a --config value such as null or [1]
-                raise ValueError(f"{k}={json.dumps(cfg[k])} is not a valid {kind.__name__}") from None
+            v = cfg[k]
+            try:  # a --config value may be null, [1], true or, for an int key, 8.7
+                if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+                    raise TypeError
+                cfg[k] = kind(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"{k}={json.dumps(v)} is not a valid {kind.__name__}") from None
     for k in ("mode", "out"):
         if not isinstance(cfg[k], str):
             raise ValueError(f"{k}={json.dumps(cfg[k])} is not a valid str")
+    if cfg["seed"] < 0:  # numpy's own message would not name the seed
+        raise ValueError(f"seed={cfg['seed']} must be >= 0")
     return cfg
 
 

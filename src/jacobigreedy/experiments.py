@@ -329,13 +329,9 @@ def main_theorem_witness(
     # over A_N, whose quotient is the sign ratio
     coeffs = {N: (np.ones(N), np.random.default_rng(np.random.SeedSequence((seed, 1, N)))
                   .integers(0, 2, size=N) * 2.0 - 1.0) for N in N_grid}
-    # the average baseline uses the same sqrt-scaled family as the block sum, so
-    # at p = 2 both quantities coincide exactly and the gap is a clean zero; there
-    # the sums are Parseval sums, elsewhere they ride on the family passes
-    avg, sums = _average_block(cfg, lambda N: coeffs[N] if p != 2.0 else ())
-    if p == 2.0:
-        sums = [[expansion_lp_norm(Expansion(params, cfg.mode, dict(zip(staggered_block(N), c))), p)
-                 for c in coeffs[N]] for N in N_grid]
+    # the sums ride on the average baseline's passes over the same sqrt-scaled family,
+    # so at p = 2 block and square norms are one Parseval sum and the gap is a clean zero
+    avg, sums = _average_block(cfg, lambda N: coeffs[N])
     block = fit_loglog(N_grid, [s[0] for s in sums], resid_tol=0.05, label="block-sum")
     ratios = [signed / block_norm for block_norm, signed in sums]
     gap = block.slope - avg.square_fit.slope

@@ -45,7 +45,7 @@ def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
     if n == 0:
         return dn * total_mass(params) ** (1.0 / p)
     zeros = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
-    return lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, p, zeros)
+    return lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, p, zeros, even=alpha == beta)
 
 
 def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]) -> np.ndarray:

@@ -4,8 +4,8 @@ Three integration paths:
 
 * a Gauss rule for the weight (1-x)^alpha (1+x)^beta, built by the
   symmetric-eigenvalue (Golub-Welsch) method -- exact on polynomials, and
-  so an oracle for the other two paths (p = 2 norms need none: greedy uses
-  Parseval);
+  so an oracle for the other two paths (p = 2 norms need none: greedy and
+  family_norms use Parseval, and build no mesh);
 * panels between the zeros of a function whose zeros are known, each
   integrated by a Gauss-Jacobi rule whose weight holds the zeros of |f|^p
   at the panel ends (and, on the two end panels, the endpoint powers of
@@ -24,7 +24,9 @@ oscillation it must resolve. Quantities on one mesh share its levels, each
 until it has converged (_converge). A family's quantities (family_norms)
 come from one jacobi_iter pass per level over blocks of jacobi._BLOCK
 points, each reduced over the family, so no (rows x points) matrix is held
-whole; lp_norms_of_rows also sums block by block.
+whole; lp_norms_of_rows also sums block by block. Where alpha = beta and the
+integrand is even in x (a family of one parity, a single p_n), the mesh, or
+the panel set, is folded at theta = pi/2 and evaluated below it only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln
 
-from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix
+from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix, orthonormal_const
 
 
 class ConvergenceError(RuntimeError):
@@ -170,11 +172,21 @@ def _end_panels(theta: np.ndarray, params: JacobiParams, p: float, m: int):
     return np.concatenate([t0, t1]), root, np.concatenate([h0 * first.weights, h1 * last.weights])
 
 
+def _abs_on(f, pieces, even: bool) -> list:
+    """|f(cos t)| on each piece of t, by one call of f. If even, every piece is mirror-symmetric
+    about pi/2, with no node on it, and f is evaluated below pi/2 only."""
+    halves = [t[: t.size // 2] if even else t for t in pieces]
+    values = np.split(np.abs(np.asarray(f(np.cos(np.concatenate(halves))), dtype=float)),
+                      np.cumsum([h.size for h in halves])[:-1])
+    return [np.concatenate([v, v[::-1]]) for v in values] if even else values
+
+
 def lp_norm_between_zeros(
     f: Callable[[np.ndarray], np.ndarray],
     params: JacobiParams,
     p: float,
     zeros: np.ndarray,
+    even: bool = False,
 ) -> float:
     """( integral |f|^p d mu )^{1/p}; `zeros` are all zeros of f in (-1, 1), simple.
 
@@ -188,7 +200,8 @@ def lp_norm_between_zeros(
     only the two end panels double their rule until it settles, and f is
     evaluated once unless they must. The factor is |f| times the p-th root
     of d mu / d theta over the held powers, divided by its maximum before
-    the power p, so nothing overflows.
+    the power p, so nothing overflows. If even (|f| even in x, alpha = beta),
+    f is evaluated only below theta = pi/2 (_abs_on).
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -210,8 +223,7 @@ def lp_norm_between_zeros(
     settled = p * max(theta.size, 8) ** 2 * np.finfo(float).eps
     m = _END_PANEL_POINTS
     coarse, fine = _end_panels(theta, params, p, m), _end_panels(theta, params, p, 2 * m)
-    values = np.abs(np.asarray(f(np.cos(np.concatenate([t_in, coarse[0], fine[0]]))), dtype=float))
-    g_in, g_coarse, g_fine = np.split(values, [t_in.size, t_in.size + coarse[0].size])
+    g_in, g_coarse, g_fine = _abs_on(f, (t_in, coarse[0], fine[0]), even)
     g_in, g_coarse, g_fine = g_in * root_in, g_coarse * coarse[1], g_fine * fine[1]
     while True:
         top = np.max([np.max(g, initial=0.0) for g in (g_in, g_coarse, g_fine)])
@@ -229,25 +241,29 @@ def lp_norm_between_zeros(
         m *= 2
         coarse, g_coarse = fine, g_fine
         fine = _end_panels(theta, params, p, 2 * m)
-        g_fine = np.abs(np.asarray(f(np.cos(fine[0])), dtype=float)) * fine[1]
+        g_fine = _abs_on(f, (fine[0],), even)[0] * fine[1]
     if not math.isfinite(estimates[1]):
         raise EvaluationError("norm overflowed")
     return estimates[1]
 
 
-def _converge(estimator, params: JacobiParams, degree: int, tol: float, count: int = 1) -> list:
+def _converge(estimator, params: JacobiParams, degree: int, tol: float, count: int = 1, even=False) -> list:
     """Run estimator on successively doubled meshes until each of its `count` quantities converges.
 
-    estimator gets (theta, quadrature-times-measure weights, ascending indices
-    of the quantities still open) and returns a scalar or vector estimate for
-    each; one converges, and drops out, once the max relative change of its
-    estimate between two levels is <= tol. Returns the converged values;
-    ConvergenceError carries the last two estimates of the first one open.
+    estimator gets (theta, quadrature-times-measure weights, ascending indices of the
+    quantities still open) and returns a scalar or vector estimate for each; one converges,
+    and drops out, once the max relative change of its estimate between two levels is <= tol.
+    If even (integrands and measure even in x), the mesh is folded at pi/2: the estimator
+    sees its half below pi/2, each weight plus its mirror node's. Returns the converged
+    values; ConvergenceError carries the last two estimates of the first one open.
     """
     last, done, open_ = [(None, None)] * count, [None] * count, list(range(count))
     for level in range(_MAX_REFINE + 1):
         theta, w = theta_mesh(degree, level)
-        for q, est in zip(tuple(open_), estimator(theta, w * mu_theta_weight(params, theta), tuple(open_))):
+        w = w * mu_theta_weight(params, theta)
+        if even:  # fold at pi/2, where no node lies (12 points per panel)
+            theta, w = theta[: theta.size // 2], (w + w[::-1])[: theta.size // 2]
+        for q, est in zip(tuple(open_), estimator(theta, w, tuple(open_))):
             est = np.asarray(est, dtype=float)
             if not np.all(np.isfinite(est)):
                 raise EvaluationError("integrand produced non-finite values")
@@ -332,9 +348,10 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
     * if square, || (sum_j f_j^2)^{1/2} ||_p, else None;
     * if samples is given (>= 1), the Rademacher average ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}
       over `samples` sign vectors, iid uniform on {-1, +1} and fixed by seed,
-      with the bootstrap standard error of the estimate; else None.
-    Each converges on its own. Memory: O(_BLOCK x rows) for the pass, and
-    O(points) per quantity (O(points x samples) for the sign sums).
+      with the bootstrap standard error of the estimate (0.0 if all resamples agree); else None.
+    Each converges on its own, on a mesh folded when all integrands are even (_converge);
+    at p = 2 they are Parseval sums and no mesh is built. Memory: O(_BLOCK x rows) for
+    the pass, and O(points) per quantity (O(points x samples) for the sign sums).
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -360,12 +377,24 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
             out.append(float(np.mean(pth_powers)) ** (1.0 / p))
         return out
 
-    values = _converge(estimator, params, max(family.degrees), tol, count=rad_q + (signs is not None))
+    if p == 2.0:  # Parseval: || sum_j a_j P_{d_j} ||_2^2 = sum_n (sum_{d_j = n} a_j)^2 / d_n^2
+        inv_d = 1.0 / np.array([orthonormal_const(params, n) for n in family.degrees])  # ||P_{d_j}||_2
+        to_degree = np.equal.outer(family.degrees, np.unique(family.degrees)) * inv_d[:, None]
+        parseval = lambda a: np.sum((a @ to_degree) ** 2, axis=-1)
+        values = [math.sqrt(v) for v in parseval(coeffs)]
+        if square:
+            values.append(math.sqrt(np.sum((family.scales * inv_d) ** 2)))
+        if signs is not None:
+            pth_powers = parseval(signs * family.scales)
+            values.append(float(np.mean(pth_powers)) ** 0.5)
+    else:
+        even = params.alpha == params.beta and len({d % 2 for d in family.degrees}) == 1
+        values = _converge(estimator, params, max(family.degrees), tol, rad_q + (signs is not None), even)
     rademacher = None
     if signs is not None:
         idx = np.random.default_rng(boot_seed).integers(0, samples, size=(_BOOTSTRAP, samples))
         boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
-        rademacher = (values[rad_q], float(np.std(boots, ddof=1)))
+        rademacher = (values[rad_q], float(np.std(boots, ddof=1)) if np.ptp(boots) else 0.0)
     return tuple(values[:k]), values[k] if square else None, rademacher
 
 

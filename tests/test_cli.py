@@ -85,7 +85,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "payload, shown",
-        [({"p": None}, "p=null"), ({"N_min": [1]}, "N_min=[1]"), ({"out": None}, "out=null")],
+        [({"p": None}, "p=null"), ({"N_min": [1]}, "N_min=[1]"), ({"out": None}, "out=null"),
+         ({"p": True}, "p=true")],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, payload, shown):
         cfg = tmp_path / "cfg.json"
@@ -96,6 +97,39 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {shown} is not a valid ")
         assert not (tmp_path / "block-sum.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, shown",
+        [({"N_min": 8.7}, "N_min=8.7"), ({"N_max": True}, "N_max=true"), ({"seed": 1.5}, "seed=1.5"),
+         ({"samples": float("inf")}, "samples=Infinity")],
+    )
+    def test_config_int_not_integral(self, tmp_path, capsys, payload, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["block-sum", "--p", "3", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {shown} is not a valid int\n"
+        assert not (tmp_path / "block-sum.csv").exists()
+
+    def test_config_int_integral_float_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N_min": 8.0, "N_max": 16.0, "tol": 1e-5}))
+        assert run(["block-sum", "--p", "3", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        echo = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert (echo["N_min"], echo["N_max"]) == (8, 16)
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [(["witness", "--p", "3", "--seed", "-1"], -1), (["average-block", "--p", "3", "--seed", "-3"], -3),
+         (["identity-check", "--seed", "-2"], -2), (["witness", "--p", "3", "--config"], -4)],
+    )
+    def test_negative_seed(self, tmp_path, capsys, argv, seed):
+        if argv[-1] == "--config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": seed}))
+            argv = [*argv, str(cfg)]
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: seed={seed} must be >= 0\n"
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
 
     @pytest.mark.parametrize("d", ["nan", "inf"])
     def test_near_one_d_not_finite(self, tmp_path, capsys, d):

@@ -4,7 +4,10 @@ quadrature.family_norms evaluates a whole family once per mesh level and
 reduces it block by block. The oracle below keeps the estimators that came
 before it: each quantity on its own mesh-doubling loop, the family held as
 one (rows x mesh points) matrix (JacobiFamily.values), the block sums
-through jacobi_combination. Both must give the same floats.
+through jacobi_combination. Both must give the same floats. Where the
+integrands are even (alpha = beta, degrees of one parity), the oracle folds
+its mesh at pi/2 exactly as _converge does; test_quadrature checks the fold
+itself against the full mesh.
 """
 
 import os
@@ -36,23 +39,33 @@ from jacobigreedy.quadrature import (
 SQRT = NormalizationMode.sqrt_scaled()
 
 
-def oracle_converge(estimator, params, degree, tol):
+def oracle_converge(estimator, params, degree, tol, even=False):
     """One quantity (scalar or vector) on successively doubled meshes, until two levels agree to tol."""
     prev = None
     for level in range(_MAX_REFINE + 1):
         theta, w = theta_mesh(degree, level)
-        est = estimator(theta, w * mu_theta_weight(params, theta))
+        w = w * mu_theta_weight(params, theta)
+        if even:
+            h = theta.size // 2
+            theta, w = theta[:h], w[:h] + w[h:][::-1]
+        est = estimator(theta, w)
         if prev is not None and np.max(np.abs(est - prev) / np.abs(est)) <= tol:
             return est
         prev = est
     raise AssertionError("oracle did not converge")
 
 
+def is_even(fam):
+    """Whether every integrand over fam is even in x: alpha = beta and degrees of one parity."""
+    return fam.params.alpha == fam.params.beta and len({d % 2 for d in fam.degrees}) == 1
+
+
 def oracle_combination_norm(fam, c, p, tol):
     coeffs = {d: ci * s for d, ci, s in zip(fam.degrees, c, fam.scales)}
     f = lambda x: jacobi_combination(fam.params, coeffs, x)
     return float(oracle_converge(
-        lambda th, w: np.dot(w, np.abs(f(np.cos(th))) ** p) ** (1.0 / p), fam.params, max(fam.degrees), tol
+        lambda th, w: np.dot(w, np.abs(f(np.cos(th))) ** p) ** (1.0 / p), fam.params, max(fam.degrees), tol,
+        is_even(fam),
     ))
 
 
@@ -61,7 +74,7 @@ def oracle_square_norm(fam, p, tol):
         rows = fam.values(np.cos(theta))
         return np.dot(w, np.sum(rows * rows, axis=0) ** (p / 2.0)) ** (1.0 / p)
 
-    return float(oracle_converge(estimator, fam.params, max(fam.degrees), tol))
+    return float(oracle_converge(estimator, fam.params, max(fam.degrees), tol, is_even(fam)))
 
 
 def oracle_rademacher(fam, p, samples, seed, tol):
@@ -73,7 +86,7 @@ def oracle_rademacher(fam, p, samples, seed, tol):
         pth[:] = [np.abs(signs @ fam.values(np.cos(theta))) ** p @ w]
         return float(np.mean(pth[0])) ** (1.0 / p)
 
-    est = oracle_converge(estimator, fam.params, max(fam.degrees), tol)
+    est = oracle_converge(estimator, fam.params, max(fam.degrees), tol, is_even(fam))
     idx = np.random.default_rng(ss_boot).integers(0, samples, size=(200, samples))
     return est, float(np.std(np.mean(pth[0][idx], axis=1) ** (1.0 / p), ddof=1))
 

@@ -4,8 +4,10 @@ Each case runs `cli.main` and compares the command's CSV and summary JSON
 with the files under tests/golden/<case>/. Outputs must be byte-identical,
 except in the cases listed in PARSEVAL: there the p = 2 block norms are
 closed-form Parseval sums, while the stored files come from Gauss-Jacobi
-quadrature. In those cases floats agree to 1e-12 relative (fitted
-quantities to 1e-12 absolute) and every string matches exactly.
+quadrature. In witness-p2 the square-function and Rademacher columns are
+closed-form too (quadrature.family_norms at p = 2), while the stored ones
+come from the theta-mesh. In those cases floats agree to 1e-12 relative
+(fitted quantities to 1e-12 absolute) and every string matches exactly.
 
 Regenerate the stored files, only for an intended change of numbers, with
 

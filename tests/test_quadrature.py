@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import mpmath
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi
 
-from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P, orthonormal_const
+from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P, jacobi_matrix, orthonormal_const
 from jacobigreedy.greedy import JacobiFamily, _orthonormal_lp_norm
 from jacobigreedy.quadrature import (
     ConvergenceError,
     EvaluationError,
+    family_norms,
     gauss_jacobi_rule,
     lp_norm,
     lp_norm_between_zeros,
@@ -325,3 +327,157 @@ class TestNormBetweenZeros:
     def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(EvaluationError):
             lp_norm_between_zeros(lambda x: np.where(x > 0, bad, x), LEG, 3.0, np.array([0.0]))
+
+
+# alpha = beta: the weight is even and P_n(-x) = (-1)^n P_n(x)
+EVEN_WEIGHTS = [(0.0, 0.0), (0.5, 0.5), (-0.45, -0.45), (3.0, 3.0)]
+
+
+def full_mesh(monkeypatch):
+    """Make _converge ignore the fold, so family_norms integrates on the whole mesh."""
+    import inspect
+
+    import jacobigreedy.quadrature as quadrature
+
+    converge = quadrature._converge
+
+    def unfolded(*args, **kwargs):
+        bound = inspect.signature(converge).bind(*args, **kwargs)
+        bound.arguments["even"] = False
+        return converge(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(quadrature, "_converge", unfolded)
+
+
+def mesh_passes(monkeypatch):
+    """Record (mesh size, points the family pass saw) for each level family_norms runs."""
+    import jacobigreedy.quadrature as quadrature
+
+    sizes, mesh, family_pass = [], quadrature.theta_mesh, quadrature._family_pass
+
+    def recording_mesh(*args):
+        theta, w = mesh(*args)
+        sizes.append([theta.size])
+        return theta, w
+
+    def recording_pass(family, x, *rest):
+        sizes[-1].append(x.size)
+        return family_pass(family, x, *rest)
+
+    monkeypatch.setattr(quadrature, "theta_mesh", recording_mesh)
+    monkeypatch.setattr(quadrature, "_family_pass", recording_pass)
+    return sizes
+
+
+class TestEvenFold:
+    @pytest.mark.parametrize("degree, level", [(0, 0), (13, 2), (64, 1), (512, 3), (4096, 0)])
+    def test_mesh_is_mirror_symmetric(self, degree, level):
+        # to 4 ulp of pi in theta and in the d-theta weights, with pi/2 between the halves
+        theta, w = theta_mesh(degree, level)
+        h, ulp = theta.size // 2, np.spacing(np.pi)
+        assert theta.size % 2 == 0 and theta[h - 1] < math.pi / 2 < theta[h]
+        assert np.max(np.abs(theta[::-1][:h] - (math.pi - theta[:h]))) <= 4 * ulp
+        assert np.max(np.abs(w[::-1][:h] - w[:h])) <= 4 * ulp
+
+    @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 7.3])
+    @pytest.mark.parametrize("ab", EVEN_WEIGHTS)
+    @pytest.mark.parametrize("degrees", [tuple(range(8, 24, 2)), (3, 7, 9, 15)])
+    def test_folded_family_norms_match_full_mesh(self, monkeypatch, ab, p, degrees):
+        params = JacobiParams(*ab)
+        fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
+        combos = (np.ones(len(degrees)), np.where(np.arange(len(degrees)) % 3, 1.0, -1.0))
+        # tol is the CLI's default: at p = 1 the mesh reaches no closer than ~4e-7 (|f| has kinks)
+        run = lambda: family_norms(fam, params, p, 1e-6, combos, square=True, samples=4, seed=5)
+        (c1, c2), square, (mean, err) = run()
+        full_mesh(monkeypatch)
+        sizes = mesh_passes(monkeypatch)
+        (f1, f2), f_square, (f_mean, f_err) = run()
+        assert all(seen == [size] for size, *seen in sizes)  # the reference saw every node
+        np.testing.assert_allclose([c1, c2, square, mean], [f1, f2, f_square, f_mean], rtol=1e-13, atol=0.0)
+        assert abs(err - f_err) <= 1e-13 * f_mean  # the standard error is a spread: relative to the mean
+
+    @pytest.mark.parametrize(
+        "ab, degrees, folded",
+        [((0.0, 0.0), (4, 8, 10), True), ((0.5, 0.5), (3, 5, 11), True),
+         ((0.5, 0.0), (4, 8, 10), False), ((0.0, 0.5), (3, 5, 11), False),
+         ((0.0, 0.0), (4, 7, 10), False), ((3.0, 3.0), (2, 3), False)],
+    )
+    def test_fold_only_for_even_integrands(self, monkeypatch, ab, degrees, folded):
+        params = JacobiParams(*ab)
+        fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
+        sizes = mesh_passes(monkeypatch)
+        family_norms(fam, params, 3.0, 1e-6, (np.ones(len(degrees)),), square=True, samples=4)
+        assert len(sizes) >= 2
+        assert all(seen == [size // 2 if folded else size] for size, *seen in sizes)
+
+    def test_p2_is_closed_form_without_a_mesh(self, monkeypatch):
+        import jacobigreedy.quadrature as quadrature
+
+        def no_mesh(*args):
+            raise AssertionError("theta_mesh called at p = 2")
+
+        monkeypatch.setattr(quadrature, "theta_mesh", no_mesh)
+        params = JacobiParams(0.5, 0.0)
+        for degrees in ((2, 3, 5, 8), (3, 5, 5, 8, 3)):  # the second repeats degrees 3 and 5
+            fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
+            c = np.array([1.0, -2.0, 0.5, 3.0, -1.0][: len(degrees)])
+            samples, seed = 6, 9
+            (combo,), square, (mean, err) = family_norms(fam, params, 2.0, combos=(c,), square=True,
+                                                         samples=samples, seed=seed)
+            # || sum_j a_j P_{d_j} ||_2^2 = sum_n (sum_{d_j = n} a_j)^2 / d_n^2
+            def parseval(a):
+                by_degree = {}
+                for d, aj in zip(degrees, a):
+                    by_degree[d] = by_degree.get(d, 0.0) + aj
+                return sum((v / orthonormal_const(params, d)) ** 2 for d, v in by_degree.items())
+
+            s = fam.scales
+            assert combo == pytest.approx(math.sqrt(parseval(c * s)), rel=1e-14)
+            assert square == pytest.approx(
+                math.sqrt(sum((sj / orthonormal_const(params, d)) ** 2 for d, sj in zip(degrees, s))), rel=1e-14
+            )
+            # the Gauss rule with max degree + 1 nodes is exact on the squares
+            rule = gauss_jacobi_rule(params, max(degrees) + 1)
+            rows = fam.values(rule.nodes)
+            assert combo == pytest.approx(math.sqrt(rule.integrate(lambda x: (c @ rows) ** 2)), rel=1e-12)
+            assert square == pytest.approx(math.sqrt(rule.integrate(lambda x: np.sum(rows**2, axis=0))), rel=1e-12)
+            sign_seed, _ = np.random.SeedSequence(seed).spawn(2)
+            eps = np.random.default_rng(sign_seed).integers(0, 2, size=(samples, len(degrees))) * 2.0 - 1.0
+            assert mean == pytest.approx(math.sqrt(np.mean([parseval(e * s) for e in eps])), rel=1e-14)
+            if len(set(degrees)) == len(degrees):
+                assert mean == pytest.approx(square, rel=1e-14)
+                assert err == 0.0  # every sign vector has the same norm
+            else:
+                assert err > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 256, 1024])
+    @pytest.mark.parametrize("ab", EVEN_WEIGHTS)
+    def test_folded_norm_between_zeros_matches_unfolded(self, ab, n):
+        params = JacobiParams(*ab)
+        dn = orthonormal_const(params, n)
+        zeros = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        points = []
+
+        def f(x):
+            points.append(x.size)
+            return dn * eval_P(params, n, x)
+
+        for p in (1.5, 3.0, 4.0, 7.3):
+            points.clear()
+            unfolded = lp_norm_between_zeros(f, params, p, zeros)
+            full = sum(points)
+            points.clear()
+            folded = lp_norm_between_zeros(f, params, p, zeros, even=True)
+            assert sum(points) == full // 2
+            assert _orthonormal_lp_norm(*ab, p, n) == folded
+            if n <= 256:
+                assert folded == pytest.approx(unfolded, rel=2e-12)
+            elif p == 4.0:
+                # at n = 1024 either side carries the rounding of its extreme zeros and of
+                # x = cos(theta) near +-1 (up to 4e-11 against the exact rule at alpha = beta =
+                # 0.5); the fold doubles one end's rounding where the full rule has two. Both
+                # must stay within the 1e-10 that _orthonormal_lp_norm documents at this size.
+                rule = gauss_jacobi_rule(params, 2 * n + 1)  # |p_n|^4 has degree 4n
+                exact = rule.integrate(lambda x: f(x) ** 4) ** 0.25
+                assert folded == pytest.approx(exact, rel=1e-10)
+                assert unfolded == pytest.approx(exact, rel=1e-10)
