@@ -25,7 +25,7 @@ from .jacobi import (
     jacobi_matrix,
     orthonormal_const,
 )
-from .quadrature import lp_norm, lp_norm_between_zeros, lp_norms_of_rows, total_mass
+from .quadrature import family_norms, lp_norm_between_zeros, lp_norms_of_rows, total_mass
 
 
 @lru_cache(maxsize=4096)
@@ -69,7 +69,8 @@ def eval_basis(params: JacobiParams, mode: NormalizationMode, n: int, x) -> floa
 class JacobiFamily:
     """A finite family of basis elements with one-pass batch evaluation.
 
-    The quadrature module's family norms read .params, .degrees and .scales;
+    The quadrature module's family norms read .params, .degrees and .scales,
+    also for every expansion norm (the family over the expansion's support);
     .values(x) returns the matrix of element values, rows in `degrees` order.
     """
 
@@ -138,14 +139,12 @@ def greedy_approx(e: Expansion, m: int) -> Expansion:
 
 
 def expansion_lp_norm(e: Expansion, p: float, tol: float = 1e-8) -> float:
-    """Lp(mu) norm of the expansion; at p = 2 Parseval's sqrt(sum_j (c_j s_j / d_j)^2)."""
+    """Lp(mu) norm of the expansion: the one combination of quadrature.family_norms
+    over its support (a Parseval sum at p = 2)."""
     if not e.coeffs:
         return 0.0
-    scaled = e.scaled_coeffs()
-    if p == 2.0:
-        return math.hypot(*(c / orthonormal_const(e.params, j) for j, c in scaled.items()))
-    f = lambda x: jacobi_combination(e.params, scaled, x)
-    return lp_norm(f, e.params, p, degree=max(e.coeffs), tol=tol)
+    fam = JacobiFamily(e.params, e.mode, e.support)
+    return family_norms(fam, e.params, p, tol, ([e.coeffs[j] for j in fam.degrees],))[0][0]
 
 
 def quasi_greedy_ratio(e: Expansion, p: float, tol: float = 1e-8) -> float:
@@ -179,19 +178,23 @@ def sign_ratio(
     p: float,
     tol: float = 1e-8,
 ) -> float:
-    """|| sum_{j in A} eps_j x_j ||_p / || sum_{j in A} x_j ||_p."""
-    A = sorted(set(int(j) for j in A))
-    if not A:
-        raise ValueError("A must be nonempty")
+    """|| sum_{j in A} eps_j x_j ||_p / || sum_{j in A} x_j ||_p, both from one family_norms call;
+    signs is a sequence paired with A in its given order, or a mapping read at each j in A."""
+    A = [int(j) for j in A]
+    if not A or len(set(A)) < len(A):
+        raise ValueError("A must be nonempty, with no repeated index")
     if isinstance(signs, Mapping):
-        eps = {j: float(signs[j]) for j in A}
-    else:
-        eps = {j: float(s) for j, s in zip(A, signs)}
-    if any(s not in (-1.0, 1.0) for s in eps.values()):
+        if missing := [j for j in A if j not in signs]:
+            raise ValueError(f"signs has no entry for {missing}")
+        signs = [signs[j] for j in A]
+    eps = [float(s) for s in signs]
+    if len(eps) != len(A):
+        raise ValueError(f"{len(eps)} signs for {len(A)} indices")
+    if any(s not in (-1.0, 1.0) for s in eps):
         raise ValueError("signs must be +1 or -1")
-    num = Expansion(params, mode, eps)
-    den = Expansion(params, mode, {j: 1.0 for j in A})
-    return expansion_lp_norm(num, p, tol) / expansion_lp_norm(den, p, tol)
+    fam = JacobiFamily(params, mode, A)
+    (signed, plain), _, _ = family_norms(fam, params, p, tol, (eps, [1.0] * len(A)))
+    return signed / plain
 
 
 def default_search_family(N: int, seed: int = 0) -> dict[str, tuple[int, ...]]:

@@ -4,8 +4,8 @@ Three integration paths:
 
 * a Gauss rule for the weight (1-x)^alpha (1+x)^beta, built by the
   symmetric-eigenvalue (Golub-Welsch) method -- exact on polynomials, and
-  so an oracle for the other two paths (p = 2 norms need none: greedy and
-  family_norms use Parseval, and build no mesh);
+  so an oracle for the other two paths (p = 2 norms need none:
+  family_norms uses Parseval, and builds no mesh);
 * panels between the zeros of a function whose zeros are known, each
   integrated by a Gauss-Jacobi rule whose weight holds the zeros of |f|^p
   at the panel ends (and, on the two end panels, the endpoint powers of
@@ -24,7 +24,9 @@ oscillation it must resolve. Quantities on one mesh share its levels, each
 until it has converged (_converge). A family's quantities (family_norms)
 come from one jacobi_iter pass per level over blocks of jacobi._BLOCK
 points, each reduced over the family, so no (rows x points) matrix is held
-whole; lp_norms_of_rows also sums block by block. Where alpha = beta and the
+whole; every Lp norm of a Jacobi expansion is a combination of one. The
+mesh's other estimator, lp_norms_of_rows, takes rows of any function
+(lp_norm is one row) and sums block by block. Where alpha = beta and the
 integrand is even in x (a family of one parity, a single p_n), the mesh, or
 the panel set, is folded at theta = pi/2 and evaluated below it only.
 """
@@ -292,15 +294,9 @@ def lp_norm(
     """( integral |f|^p d mu )^{1/p} on (-1, 1); f must accept numpy arrays of x.
 
     degree is the highest polynomial degree in f, which sets the mesh density.
+    The one row of lp_norms_of_rows.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-
-    def estimator(theta, w, open_):
-        vals = np.abs(np.asarray(f(np.cos(theta)), dtype=float))
-        return [np.dot(w, vals**p) ** (1.0 / p)]
-
-    return _converge(estimator, params, degree, tol)[0]
+    return float(lp_norms_of_rows(lambda x: np.atleast_2d(f(x)), params, p, degree, tol)[0])
 
 
 def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs: np.ndarray | None):

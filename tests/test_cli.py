@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -182,6 +183,20 @@ class TestOutputs:
         assert code == 0
         summary = json.loads((tmp_path / "norms.json").read_text())
         assert summary["regime"] == "bounded"
+
+
+class TestCrossCommand:
+    def test_block_sum_equals_witness_block_norm(self, tmp_path):
+        # the witness-p3 golden's grid; both commands take the norm from quadrature.family_norms
+        grid = ["--alpha", "0", "--beta", "0", "--p", "3", "--N-min", "8", "--N-max", "32",
+                "--tol", "1e-5"]
+        assert run(["block-sum", *grid, "--out", str(tmp_path / "block")]) == 0
+        assert run(["witness", *grid, "--seed", "1", "--samples", "8",
+                    "--out", str(tmp_path / "witness")]) == 0
+        read = lambda name: list(csv.DictReader((tmp_path / name).read_text().splitlines()))
+        block, witness = read("block/block-sum.csv"), read("witness/witness.csv")
+        assert [r["N"] for r in block] == [r["N"] for r in witness] == ["8", "16", "32"]
+        assert [float(r["norm"]) for r in block] == [float(r["block_norm"]) for r in witness]
 
 
 class TestReproducibility:

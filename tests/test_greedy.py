@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobigreedy import greedy
 from jacobigreedy.jacobi import JacobiParams, NormalizationMode
 from jacobigreedy.greedy import (
     Expansion,
@@ -166,6 +167,44 @@ class TestSignRatio:
             1.0, abs=1e-10
         )
 
+    def test_signs_pair_with_A_in_given_order(self):
+        got = sign_ratio(LEG, ON, [4, 0, 2], [1, -1, 1], 3.0, tol=1e-6)
+        assert got == sign_ratio(LEG, ON, [0, 2, 4], [-1, 1, 1], 3.0, tol=1e-6)
+        assert got == sign_ratio(LEG, ON, [4, 0, 2], {0: -1, 2: 1, 4: 1, 7: -1}, 3.0, tol=1e-6)
+        assert got == pytest.approx(0.8027, abs=1e-4)  # 0.8576 if the signs pair with sorted A
+
+    @pytest.mark.parametrize(
+        "A,signs,message",
+        [
+            ([0, 2, 4], [1, -1], "2 signs for 3 indices"),
+            ([0, 2, 4], [1, -1, 1, 1], "4 signs for 3 indices"),
+            ([0, 2, 2], [1, -1, 1], "repeated index"),
+            ([0, 2, 4], {0: 1.0, 2: -1.0}, r"no entry for \[4\]"),
+        ],
+    )
+    def test_rejects_signs_that_do_not_match_A(self, A, signs, message):
+        with pytest.raises(ValueError, match=message):
+            sign_ratio(LEG, ON, A, signs, 3.0, tol=1e-6)
+
+    def test_one_family_norms_call(self, monkeypatch):
+        calls, real = [], greedy.family_norms
+        monkeypatch.setattr(greedy, "family_norms", lambda *a, **k: calls.append(a) or real(*a, **k))
+        sign_ratio(LEG, SQ, [9, 2, 5], [1, -1, -1], 3.0, tol=1e-6)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize(
+        "ab,A",
+        [((0.0, 0.0), [9, 3, 5, 7]), ((0.0, 0.0), [8, 3, 6, 1]), ((0.5, -0.2), [6, 1, 4, 2])],
+    )
+    def test_equals_quotient_of_expansion_norms(self, ab, A, p):
+        # one parity at alpha = beta (folded mesh), mixed parity, alpha != beta
+        params, signs = JacobiParams(*ab), [1.0, -1.0, -1.0, 1.0]
+        num = Expansion(params, SQ, dict(zip(A, signs)))
+        den = Expansion(params, SQ, {j: 1.0 for j in A})
+        quotient = expansion_lp_norm(num, p, 1e-6) / expansion_lp_norm(den, p, 1e-6)
+        assert sign_ratio(params, SQ, A, signs, p, tol=1e-6) == quotient
+
 
 class TestBasisScales:
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.5, -0.3)])
@@ -213,6 +252,13 @@ class TestExpansionNorm:
 
     def test_empty_expansion_norm_zero(self):
         assert expansion_lp_norm(Expansion(LEG, ON, {}), 3.0) == 0.0
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_family_norms_call(self, monkeypatch, p):
+        calls, real = [], greedy.family_norms
+        monkeypatch.setattr(greedy, "family_norms", lambda *a, **k: calls.append(a) or real(*a, **k))
+        expansion_lp_norm(Expansion(LEG, SQ, {3: 1.0, 8: -0.5, 5: 2.0}), p, tol=1e-6)
+        assert len(calls) == 1
 
 
 class TestDemocracyScan:

@@ -178,6 +178,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(lambda x: x, LEG, 0.5)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_is_one_row_of_lp_norms_of_rows(self, p):
+        params = JacobiParams(0.5, 0.0)
+        f = lambda x: 1.0 + x + 0.5 * np.sin(3 * x)
+        got = lp_norm(f, params, p, degree=12, tol=1e-9)
+        assert type(got) is float
+        assert got == lp_norms_of_rows(lambda x: f(x)[None], params, p, degree=12, tol=1e-9)[0]
+
 
 class TestSquareFunctionNorm:
     def test_single_orthonormal_element(self):
