@@ -210,6 +210,7 @@ def _near_one(cfg: dict):
 
 
 def _witness(cfg: dict):
+    cfg["mode"] = "sqrt-scaled"  # the witness runs sqrt-scaled whatever --mode says; record the mode run
     N_grid = _grid(cfg, "N")
     rep = main_theorem_witness(
         JacobiParams(cfg["alpha"], cfg["beta"]), cfg["p"], N_grid,

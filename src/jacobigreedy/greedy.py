@@ -25,7 +25,7 @@ from .jacobi import (
     jacobi_matrix,
     orthonormal_const,
 )
-from .quadrature import family_norms, lp_norm_between_zeros, lp_norms_of_rows, total_mass
+from .quadrature import family_norms, lp_norm_between_zeros, total_mass
 
 
 @lru_cache(maxsize=4096)
@@ -59,11 +59,6 @@ def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequenc
     if mode.tag == "lp":
         scales /= [_orthonormal_lp_norm(params.alpha, params.beta, mode.p, n) for n in degrees]
     return scales
-
-
-def eval_basis(params: JacobiParams, mode: NormalizationMode, n: int, x) -> float | np.ndarray:
-    """Basis element s_n * P_n in the requested normalization, evaluated at x."""
-    return float(basis_scales(params, mode, [n])[0]) * eval_P(params, n, x)
 
 
 class JacobiFamily:
@@ -106,14 +101,9 @@ class Expansion:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
 
-    def scaled_coeffs(self) -> dict[int, float]:
-        """Coefficients against the raw P_n, i.e. coeff_j * s_j."""
-        degrees = self.support
-        scales = basis_scales(self.params, self.mode, degrees)
-        return {j: self.coeffs[j] * s for j, s in zip(degrees, scales)}
-
     def evaluate(self, x) -> np.ndarray:
-        return jacobi_combination(self.params, self.scaled_coeffs(), x)
+        scaled = zip(self.support, basis_scales(self.params, self.mode, self.support))
+        return jacobi_combination(self.params, {j: self.coeffs[j] * s for j, s in scaled}, x)
 
 
 @dataclass(frozen=True)
@@ -148,25 +138,15 @@ def expansion_lp_norm(e: Expansion, p: float, tol: float = 1e-8) -> float:
 
 
 def quasi_greedy_ratio(e: Expansion, p: float, tol: float = 1e-8) -> float:
-    """max_m ||G_m(e)||_p / ||e||_p over m = 1..|support| (brute force over m).
+    """max_m ||G_m(e)||_p / ||e||_p over m = 1..|support|, from family_norms' greedy prefix sums.
 
     Exactly 1 at p = 2, where by Parseval ||G_m(e)||_2^2 is a running sum of squares.
     """
     if not e.coeffs:
         raise ValueError("expansion must be nonzero")
-    if p == 2.0:
-        return 1.0
     order = greedy_ordering(e)
-    scaled = e.scaled_coeffs()
-
-    def partial_sums(x):  # rows G_1(x), ..., G_M(x)
-        terms = eval_P_many(e.params, order, x)
-        terms *= np.array([scaled[j] for j in order])[:, None]
-        for prev, row in zip(terms, terms[1:]):  # np.cumsum(axis=0) in place, ~30x faster by rows
-            row += prev
-        return terms
-
-    norms = lp_norms_of_rows(partial_sums, e.params, p, degree=max(e.coeffs), tol=tol)
+    fam = JacobiFamily(e.params, e.mode, order)
+    norms = family_norms(fam, e.params, p, tol, prefix=[e.coeffs[j] for j in order])[3]
     return float(np.max(norms) / norms[-1])
 
 
@@ -193,7 +173,7 @@ def sign_ratio(
     if any(s not in (-1.0, 1.0) for s in eps):
         raise ValueError("signs must be +1 or -1")
     fam = JacobiFamily(params, mode, A)
-    (signed, plain), _, _ = family_norms(fam, params, p, tol, (eps, [1.0] * len(A)))
+    (signed, plain), *_ = family_norms(fam, params, p, tol, (eps, [1.0] * len(A)))
     return signed / plain
 
 

@@ -21,14 +21,14 @@ The mesh has no configuration: its panel count follows the highest
 polynomial degree in the integrand (the `degree` of lp_norm and
 lp_norms_of_rows, the largest degree of a family), which sets the
 oscillation it must resolve. Quantities on one mesh share its levels, each
-until it has converged (_converge). A family's quantities (family_norms)
-come from one jacobi_iter pass per level over blocks of jacobi._BLOCK
-points, each reduced over the family, so no (rows x points) matrix is held
-whole; every Lp norm of a Jacobi expansion is a combination of one. The
-mesh's other estimator, lp_norms_of_rows, takes rows of any function
-(lp_norm is one row) and sums block by block. Where alpha = beta and the
-integrand is even in x (a family of one parity, a single p_n), the mesh, or
-the panel set, is folded at theta = pi/2 and evaluated below it only.
+until it has converged (_converge). A family's quantities (family_norms:
+combinations, so every Lp norm of an expansion, the square function, sign
+sums, greedy partial sums) come from one jacobi_iter pass per level over
+blocks of jacobi._BLOCK points, each reduced over the family: the pass holds
+O(rows x _BLOCK). lp_norms_of_rows, behind lp_norm only, takes rows of any
+function. At alpha = beta the mesh is folded at theta = pi/2 and evaluated
+below it only, every family's even- and odd-degree parts mirrored apart;
+so is the panel set of a single p_n.
 """
 
 from __future__ import annotations
@@ -249,22 +249,22 @@ def lp_norm_between_zeros(
     return estimates[1]
 
 
-def _converge(estimator, params: JacobiParams, degree: int, tol: float, count: int = 1, even=False) -> list:
+def _converge(estimator, params: JacobiParams, degree: int, tol: float, count: int = 1, fold=False) -> list:
     """Run estimator on successively doubled meshes until each of its `count` quantities converges.
 
     estimator gets (theta, quadrature-times-measure weights, ascending indices of the
     quantities still open) and returns a scalar or vector estimate for each; one converges,
     and drops out, once the max relative change of its estimate between two levels is <= tol.
-    If even (integrands and measure even in x), the mesh is folded at pi/2: the estimator
-    sees its half below pi/2, each weight plus its mirror node's. Returns the converged
+    If fold (alpha = beta, an even measure), the mesh is folded at pi/2: the estimator sees
+    its half below pi/2, with weights (each node's, its mirror node's). Returns the converged
     values; ConvergenceError carries the last two estimates of the first one open.
     """
     last, done, open_ = [(None, None)] * count, [None] * count, list(range(count))
     for level in range(_MAX_REFINE + 1):
         theta, w = theta_mesh(degree, level)
         w = w * mu_theta_weight(params, theta)
-        if even:  # fold at pi/2, where no node lies (12 points per panel)
-            theta, w = theta[: theta.size // 2], (w + w[::-1])[: theta.size // 2]
+        if fold:  # at pi/2, where no node lies (12 points per panel)
+            theta, w = theta[: theta.size // 2], np.stack([w, w[::-1]])[:, : theta.size // 2]
         for q, est in zip(tuple(open_), estimator(theta, w, tuple(open_))):
             est = np.asarray(est, dtype=float)
             if not np.all(np.isfinite(est)):
@@ -299,11 +299,12 @@ def lp_norm(
     return float(lp_norms_of_rows(lambda x: np.atleast_2d(f(x)), params, p, degree, tol)[0])
 
 
-def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs: np.ndarray | None):
-    """(sum_j coeffs[i, j] f_j for each row i, sum_j f_j^2 or None, |signs @ rows| or None) at x.
+def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs, prefix=None):
+    """(sum_j coeffs[i, j] f_j for each row i, sum_j f_j^2 or None, signs @ rows or None) at x.
 
     One jacobi_iter run per block of _BLOCK points; the family is reduced
-    within the block, so each result runs over the points of x only.
+    within the block, so each result runs over the points of x only. A prefix
+    (c, buffer, reduce) gets c_j f_j in buffer row j, then reduce(block, buffer[:, :m]).
     """
     size, width = x.size, min(x.size, _BLOCK)
     at: dict[int, list[int]] = {}
@@ -320,56 +321,93 @@ def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs:
         for n, pn in jacobi_iter(family.params, x[block], max(family.degrees)):
             for j in at.get(n, ()):
                 for part, c in zip(parts, coeffs[:, j]):  # ascending n, as in jacobi_combination
-                    part += np.multiply(pn, c, out=t)
+                    if c:
+                        part += np.multiply(pn, c, out=t)
                 if sq is not None or rad is not None:
                     row = np.multiply(pn, family.scales[j], out=rows[j if rad is not None else 0, :m])
                     if sq is not None:
                         sq_part += np.multiply(row, row, out=t)
+                if prefix is not None:
+                    np.multiply(pn, prefix[0][j], out=prefix[1][j, :m])
         if rad is not None:
             np.matmul(signs, rows[:, :m], out=rad[:, block])
-    return comb, sq, None if rad is None else np.abs(rad, out=rad)
+        if prefix is not None:
+            prefix[2](block, prefix[1][:, :m])
+    return comb, sq, rad
 
 
 _BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
 
 
 def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, combos=(),
-                 square: bool = False, samples: int | None = None, seed: int = 0) -> tuple:
+                 square: bool = False, samples: int | None = None, seed: int = 0, prefix=None) -> tuple:
     """Lp(mu) norms of quantities of one family f_j = s_j P_{d_j}, one recurrence pass per mesh level.
 
-    family is a greedy.JacobiFamily (.params, .degrees, .scales s_j). Returns
-    (norms of the combos, square, rademacher):
+    family is a greedy.JacobiFamily (.params, .degrees, .scales s_j). Returns (norms of the combos,
+    square, rademacher, prefix sums):
     * || sum_j c_j f_j ||_p for each coefficient vector c in combos, (c_j s_j) P_n
       added in ascending n as in jacobi.jacobi_combination;
     * if square, || (sum_j f_j^2)^{1/2} ||_p, else None;
     * if samples is given (>= 1), the Rademacher average ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}
       over `samples` sign vectors, iid uniform on {-1, +1} and fixed by seed,
-      with the bootstrap standard error of the estimate (0.0 if all resamples agree); else None.
-    Each converges on its own, on a mesh folded when all integrands are even (_converge);
-    at p = 2 they are Parseval sums and no mesh is built. Memory: O(_BLOCK x rows) for
-    the pass, and O(points) per quantity (O(points x samples) for the sign sums).
+      with the bootstrap standard error of the estimate (0.0 if all resamples agree); else None;
+    * if prefix (coefficients c_j) is given, the array of || sum_{i<=m} c_i f_i ||_p, m = 1..len(family)
+      (the greedy partial sums of an expansion whose support the family lists in greedy order).
+    Each converges on its own (_converge), at alpha = beta on a mesh folded at pi/2: even integrands
+    (sum_j f_j^2, sums over one parity) take each node's weight plus its mirror's, and a sum over both
+    parities, as even- and odd-degree parts e and o, |e + o|^p at a node and |e - o|^p at its mirror.
+    At p = 2, Parseval sums and no mesh. Memory: O(_BLOCK x rows) for the pass and the prefix sums,
+    O(points) per other quantity (O(points x samples) for the sign sums).
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
     coeffs = np.asarray(combos, dtype=float).reshape(len(combos), len(family)) * family.scales
-    k, signs, pth_powers = len(coeffs), None, None
+    k, signs, pth_powers, buffer = len(coeffs), None, None, None
     if samples is not None:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         sign_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
         signs = np.random.default_rng(sign_seed).integers(0, 2, size=(samples, len(family))) * 2.0 - 1.0
-    rad_q = k + square  # the Rademacher quantity comes last
+    prefix = None if prefix is None else np.asarray(prefix, dtype=float).reshape(len(family)) * family.scales
+    pre_q = k + square  # then the prefix sums; the Rademacher quantity comes last
+    rad_q = pre_q + (prefix is not None)
+    odd = np.array(family.degrees) % 2
 
     def estimator(theta, w, open_):
-        nonlocal pth_powers
-        comb, sq, rad = _family_pass(family, np.cos(theta), coeffs[[q for q in open_ if q < k]],
-                                     square and k in open_, signs if rad_q in open_ else None)
-        out = [np.dot(w, np.abs(row) ** p) ** (1.0 / p) for row in comb]
+        nonlocal pth_powers, buffer
+        sym = w[0] + w[1] if w.ndim == 2 else w  # w = (each node's weight, its mirror's) if folded
+        mixed = w.ndim == 2 and 0 < odd.sum() < len(odd)  # then each sum is stacked as (e; o)
+        split = (lambda a: np.concatenate([a * (1 - odd), a * odd])) if mixed else (lambda a: a)
+
+        def pth(v):  # integral of |.|^p for each row of v
+            if not mixed:
+                return [np.dot(sym, np.abs(row) ** p) for row in v]
+            e, o = np.split(v, 2)
+            return np.abs(e + o) ** p @ w[0] + np.abs(e - o) ** p @ w[1]
+
+        reduce = None
+        if prefix is not None and pre_q in open_:
+            buffer, acc = np.empty((len(family), _BLOCK)) if buffer is None else buffer, np.zeros(len(family))
+
+            def reduce(block, rows):  # rows[i] = c_i f_i: prefix sums (e + o) and |.|^p in place
+                run, t = np.zeros((2, rows.shape[1])), np.empty(rows.shape[1])
+                for i, row in enumerate(rows):
+                    run[odd[i]] += row
+                    np.add(*run, out=row)
+                    if mixed:
+                        acc[i] += np.power(np.abs(np.subtract(*run, out=t), out=t), p, out=t) @ w[1][block]
+                acc[:] += np.power(np.abs(rows, out=rows), p, out=rows) @ (w[0] if mixed else sym)[block]
+
+        comb, sq, rad = _family_pass(family, np.cos(theta), split(coeffs[[q for q in open_ if q < k]]),
+                                     square and k in open_, split(signs) if rad_q in open_ else None,
+                                     reduce and (prefix, buffer, reduce))
+        out = [v ** (1.0 / p) for v in pth(comb)]
         if sq is not None:
-            out.append(np.dot(w, sq ** (p / 2.0)) ** (1.0 / p))
+            out.append(np.dot(sym, sq ** (p / 2.0)) ** (1.0 / p))
+        if reduce is not None:
+            out.append(acc ** (1.0 / p))
         if rad is not None:
-            rad **= p
-            pth_powers = rad @ w
+            pth_powers = pth(rad) if mixed else np.power(np.abs(rad, out=rad), p, out=rad) @ sym
             out.append(float(np.mean(pth_powers)) ** (1.0 / p))
         return out
 
@@ -380,18 +418,21 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
         values = [math.sqrt(v) for v in parseval(coeffs)]
         if square:
             values.append(math.sqrt(np.sum((family.scales * inv_d) ** 2)))
+        if prefix is not None:
+            values.append(np.sqrt(np.sum(np.cumsum(prefix[:, None] * to_degree, axis=0) ** 2, axis=1)))
         if signs is not None:
             pth_powers = parseval(signs * family.scales)
             values.append(float(np.mean(pth_powers)) ** 0.5)
     else:
-        even = params.alpha == params.beta and len({d % 2 for d in family.degrees}) == 1
-        values = _converge(estimator, params, max(family.degrees), tol, rad_q + (signs is not None), even)
+        values = _converge(estimator, params, max(family.degrees), tol, rad_q + (signs is not None),
+                           params.alpha == params.beta)
     rademacher = None
     if signs is not None:
         idx = np.random.default_rng(boot_seed).integers(0, samples, size=(_BOOTSTRAP, samples))
         boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
         rademacher = (values[rad_q], float(np.std(boots, ddof=1)) if np.ptp(boots) else 0.0)
-    return tuple(values[:k]), values[k] if square else None, rademacher
+    return (tuple(values[:k]), values[k] if square else None, rademacher,
+            None if prefix is None else values[pre_q])
 
 
 def square_function_norm(

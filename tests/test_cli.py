@@ -232,6 +232,14 @@ class TestReproducibility:
         assert run(["block-sum", "--config", str(old), "--out", str(b)]) == 0
         assert (a / "block-sum.csv").read_bytes() == (b / "block-sum.csv").read_bytes()
 
+    def test_witness_manifest_records_mode_that_ran(self, tmp_path):
+        args = ["witness", "--p", "3", *FAST_WITNESS, "--out", str(tmp_path)]
+        assert run(args) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "sqrt-scaled"
+        echo = json.loads((tmp_path / "witness.json").read_text())["config"]
+        assert echo == {k: v for k, v in manifest["config"].items() if k != "out"}
+
     def test_norms_manifest_records_mode_that_ran(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["norms", "--p", "3", "--n-min", "8", "--n-max", "16"]

@@ -26,7 +26,7 @@ from jacobigreedy.experiments import (
     main_theorem_witness,
     staggered_block,
 )
-from jacobigreedy.greedy import JacobiFamily
+from jacobigreedy.greedy import Expansion, JacobiFamily, greedy_approx, greedy_ordering, quasi_greedy_ratio
 from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P_many, jacobi_combination
 from jacobigreedy.quadrature import (
     _MAX_REFINE,
@@ -146,8 +146,8 @@ def test_quantities_split_across_blocks(monkeypatch):
     params, p, tol = JacobiParams(0.5, 0.0), 3.0, 1e-6
     fam = JacobiFamily(params, SQRT, staggered_block(16))
     eps = np.where(np.arange(16) % 3, 1.0, -1.0)
-    combos, square, rademacher = family_norms(fam, params, p, tol, (np.ones(16), eps), square=True,
-                                              samples=8, seed=4)
+    combos, square, rademacher, _ = family_norms(fam, params, p, tol, (np.ones(16), eps), square=True,
+                                                 samples=8, seed=4)
     assert combos == (oracle_combination_norm(fam, np.ones(16), p, tol),
                       oracle_combination_norm(fam, eps, p, tol))
     assert square == oracle_square_norm(fam, p, tol)
@@ -168,6 +168,29 @@ def test_row_norms_summed_across_blocks(monkeypatch):
     monkeypatch.setattr(quadrature, "_BLOCK", 1000)
     split = lp_norms_of_rows(rows_fn, params, p, degree=max(degrees), tol=tol)
     np.testing.assert_allclose(split, whole, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("ab", [(0.0, 0.0), (0.5, 0.0)])
+def test_greedy_prefix_norms_match_each_partial_sum(monkeypatch, ab, p):
+    # every prefix norm against ||G_m(e)||_p, G_m(e) summed by jacobi_combination on the
+    # whole mesh (no fold at alpha = beta) at the level where all of them have converged
+    monkeypatch.setattr(quadrature, "_BLOCK", 1000)
+    params, tol = JacobiParams(*ab), 1e-6
+    rng = np.random.default_rng(3)
+    e = Expansion(params, SQRT, {int(j): float(c) for j, c in zip(rng.choice(60, 14, replace=False),
+                                                                  rng.standard_normal(14))})
+    order = greedy_ordering(e)
+    assert len({j % 2 for j in order}) == 2
+    fam = JacobiFamily(params, SQRT, order)
+    got = family_norms(fam, params, p, tol, prefix=[e.coeffs[j] for j in order])[3]
+    partial = [greedy_approx(e, m) for m in range(1, len(order) + 1)]
+    want = oracle_converge(
+        lambda th, w: np.array([np.dot(w, np.abs(g.evaluate(np.cos(th))) ** p) for g in partial]) ** (1 / p),
+        params, max(order), tol,
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert quasi_greedy_ratio(e, p, tol) == np.max(got) / got[-1]
 
 
 ROOT = Path(__file__).resolve().parents[1]

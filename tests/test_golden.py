@@ -9,6 +9,11 @@ closed-form too (quadrature.family_norms at p = 2), while the stored ones
 come from the theta-mesh. In those cases floats agree to 1e-12 relative
 (fitted quantities to 1e-12 absolute) and every string matches exactly.
 
+The library's greedy functionals have no CLI caller; API_CASE holds them
+(quasi_greedy_ratio on a seeded mixed-parity Legendre expansion, and the
+democracy_scan norms) in tests/golden/api-greedy/greedy.json, compared to
+1e-12 relative.
+
 Regenerate the stored files, only for an intended change of numbers, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,8 +26,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from jacobigreedy import Expansion, JacobiParams, NormalizationMode, democracy_scan, quasi_greedy_ratio
 from jacobigreedy.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,6 +111,26 @@ def test_golden(case, tmp_path):
         assert got_json == want_json
 
 
+API_CASE = GOLDEN / "api-greedy" / "greedy.json"
+
+
+def api_case() -> dict:
+    """quasi_greedy_ratio at p = 1.5 and 3 on 60 seeded sqrt-scaled Legendre terms of mixed parity
+    (degree < 400), and the democracy_scan norms at p = 3, N = 64; all at tol 1e-6."""
+    leg, sqrt_scaled = JacobiParams(0.0, 0.0), NormalizationMode.sqrt_scaled()
+    rng = np.random.default_rng(11)
+    support, coeffs = rng.choice(400, size=60, replace=False), rng.standard_normal(60)
+    e = Expansion(leg, sqrt_scaled, {int(j): float(c) for j, c in zip(support, coeffs)})
+    return {
+        "quasi_greedy_ratio": {f"{p:g}": quasi_greedy_ratio(e, p, tol=1e-6) for p in (1.5, 3.0)},
+        "democracy_norms": democracy_scan(leg, sqrt_scaled, 64, 3.0, tol=1e-6).witness_sets["norms"],
+    }
+
+
+def test_api_golden():
+    assert _json_mismatches(api_case(), json.loads(API_CASE.read_text())) == []
+
+
 def regenerate() -> None:
     """Rewrite the stored files of every case but the PARSEVAL ones.
 
@@ -120,6 +147,8 @@ def regenerate() -> None:
         for path in outdir.iterdir():
             if path.name not in keep:
                 path.unlink()
+    API_CASE.parent.mkdir(exist_ok=True)
+    API_CASE.write_text(json.dumps(api_case(), indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from jacobigreedy.jacobi import (
     near_one_window,
     orthonormal_const,
 )
-from jacobigreedy.greedy import eval_basis
+from jacobigreedy.greedy import basis_scales
 
 LEG = JacobiParams(0.0, 0.0)
 B = jacobi._BLOCK
@@ -226,17 +226,15 @@ class TestOrthonormalConst:
 
 class TestEvalBasis:
     def test_orthonormal_n0(self):
-        v = eval_basis(LEG, NormalizationMode.orthonormal(), 0, 0.3)
+        v = basis_scales(LEG, NormalizationMode.orthonormal(), [0])[0] * eval_P(LEG, 0, 0.3)
         assert v == pytest.approx(1 / math.sqrt(2), rel=1e-14)
 
     def test_sqrt_scaled_zero_term_is_one(self):
-        assert eval_basis(LEG, NormalizationMode.sqrt_scaled(), 0, 0.3) == 1.0
-        v = eval_basis(LEG, NormalizationMode.sqrt_scaled(), 4, 0.3)
+        assert basis_scales(LEG, NormalizationMode.sqrt_scaled(), [0])[0] * eval_P(LEG, 0, 0.3) == 1.0
+        v = basis_scales(LEG, NormalizationMode.sqrt_scaled(), [4])[0] * eval_P(LEG, 4, 0.3)
         assert v == pytest.approx(2.0 * eval_P(LEG, 4, 0.3), rel=1e-14)
 
     def test_l2_normalization_is_orthonormal(self):
-        from jacobigreedy.greedy import basis_scales
-
         mode = NormalizationMode.lp_normalized(2.0)
         s = basis_scales(LEG, mode, [3])[0]
         assert s == pytest.approx(orthonormal_const(LEG, 3), rel=1e-8)
@@ -248,7 +246,7 @@ class TestEvalBasis:
         r = 1 / mpmath.sqrt(3)
         norm3 = float(mpmath.quad(lambda x: abs(p2(x)) ** 3, [-1, -r, r, 1]) ** (mpmath.mpf(1) / 3))
         xs = np.array([-0.9, 0.1, 0.5])
-        got = eval_basis(LEG, NormalizationMode.lp_normalized(3.0), 2, xs)
+        got = basis_scales(LEG, NormalizationMode.lp_normalized(3.0), [2])[0] * eval_P(LEG, 2, xs)
         assert got == pytest.approx(d2 * eval_P(LEG, 2, xs) / norm3, rel=1e-9)
 
 

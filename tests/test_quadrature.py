@@ -351,7 +351,7 @@ def full_mesh(monkeypatch):
 
     def unfolded(*args, **kwargs):
         bound = inspect.signature(converge).bind(*args, **kwargs)
-        bound.arguments["even"] = False
+        bound.arguments["fold"] = False
         return converge(*bound.args, **bound.kwargs)
 
     monkeypatch.setattr(quadrature, "_converge", unfolded)
@@ -389,28 +389,32 @@ class TestEvenFold:
 
     @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 7.3])
     @pytest.mark.parametrize("ab", EVEN_WEIGHTS)
-    @pytest.mark.parametrize("degrees", [tuple(range(8, 24, 2)), (3, 7, 9, 15)])
+    @pytest.mark.parametrize("degrees", [tuple(range(8, 24, 2)), (3, 7, 9, 15), (3, 8, 9, 14, 21)])
     def test_folded_family_norms_match_full_mesh(self, monkeypatch, ab, p, degrees):
+        # one parity: even integrands on summed weights; both parities: |e + o|^p and |e - o|^p
         params = JacobiParams(*ab)
         fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
         combos = (np.ones(len(degrees)), np.where(np.arange(len(degrees)) % 3, 1.0, -1.0))
         # tol is the CLI's default: at p = 1 the mesh reaches no closer than ~4e-7 (|f| has kinks)
-        run = lambda: family_norms(fam, params, p, 1e-6, combos, square=True, samples=4, seed=5)
-        (c1, c2), square, (mean, err) = run()
+        prefix = np.linspace(2.0, -1.0, len(degrees))
+        run = lambda: family_norms(fam, params, p, 1e-6, combos, square=True, samples=4, seed=5, prefix=prefix)
+        (c1, c2), square, (mean, err), partial = run()
         full_mesh(monkeypatch)
         sizes = mesh_passes(monkeypatch)
-        (f1, f2), f_square, (f_mean, f_err) = run()
+        (f1, f2), f_square, (f_mean, f_err), f_partial = run()
         assert all(seen == [size] for size, *seen in sizes)  # the reference saw every node
-        np.testing.assert_allclose([c1, c2, square, mean], [f1, f2, f_square, f_mean], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose([c1, c2, square, mean, *partial], [f1, f2, f_square, f_mean, *f_partial],
+                                   rtol=1e-13, atol=0.0)
         assert abs(err - f_err) <= 1e-13 * f_mean  # the standard error is a spread: relative to the mean
 
     @pytest.mark.parametrize(
         "ab, degrees, folded",
         [((0.0, 0.0), (4, 8, 10), True), ((0.5, 0.5), (3, 5, 11), True),
          ((0.5, 0.0), (4, 8, 10), False), ((0.0, 0.5), (3, 5, 11), False),
-         ((0.0, 0.0), (4, 7, 10), False), ((3.0, 3.0), (2, 3), False)],
+         ((0.0, 0.0), (4, 7, 10), True), ((3.0, 3.0), (2, 3), True)],
     )
     def test_fold_only_for_even_integrands(self, monkeypatch, ab, degrees, folded):
+        # the weight is even at alpha = beta; a family of both parities folds as well
         params = JacobiParams(*ab)
         fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
         sizes = mesh_passes(monkeypatch)
@@ -430,8 +434,8 @@ class TestEvenFold:
             fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
             c = np.array([1.0, -2.0, 0.5, 3.0, -1.0][: len(degrees)])
             samples, seed = 6, 9
-            (combo,), square, (mean, err) = family_norms(fam, params, 2.0, combos=(c,), square=True,
-                                                         samples=samples, seed=seed)
+            (combo,), square, (mean, err), partial = family_norms(fam, params, 2.0, combos=(c,), square=True,
+                                                                  samples=samples, seed=seed, prefix=c)
             # || sum_j a_j P_{d_j} ||_2^2 = sum_n (sum_{d_j = n} a_j)^2 / d_n^2
             def parseval(a):
                 by_degree = {}
@@ -441,6 +445,9 @@ class TestEvenFold:
 
             s = fam.scales
             assert combo == pytest.approx(math.sqrt(parseval(c * s)), rel=1e-14)
+            # parseval zips the first m degrees with the first m terms: the prefix sums
+            np.testing.assert_allclose(partial, [math.sqrt(parseval(c[:m] * s[:m])) for m in range(1, len(c) + 1)],
+                                       rtol=1e-14, atol=0.0)
             assert square == pytest.approx(
                 math.sqrt(sum((sj / orthonormal_const(params, d)) ** 2 for d, sj in zip(degrees, s))), rel=1e-14
             )
