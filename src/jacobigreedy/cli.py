@@ -1,7 +1,11 @@
 """Command-line front end: experiment dispatch with reproducible file output.
 
-Every run writes <out>/<command>.csv (data rows, floats at 17 significant
-digits), <out>/<command>.json (summary), <out>/manifest.json (command,
+Each command declares the config keys it reads, each with its default
+(Command.keys). Those keys are its only flags, --<key> with "_" spelled "-",
+besides --out and --config; a key's type is its default's. Every run writes
+<out>/<command>.csv (data rows, floats at 17 significant digits),
+<out>/<command>.json (summary: the config echo, which holds exactly the
+command's keys, then its results), <out>/manifest.json (command, the same
 config echo, tool version, timestamp) and, for slope-fit commands, a
 <command>.dat / <command>.fit pair of plot files. Exit codes: 0 success,
 2 configuration error, 3 numerical non-convergence.
@@ -37,18 +41,6 @@ from .experiments import (
     omega_exponent,
 )
 
-# typed config keys; each is also a flag, --<key> with "_" spelled "-"
-_KEY_TYPES = {
-    **dict.fromkeys(("alpha", "beta", "p", "tol", "d"), float),
-    **dict.fromkeys(("n_min", "n_max", "N_min", "N_max", "samples", "seed", "trials"), int),
-}
-
-_COMMON_DEFAULTS = dict(
-    alpha=0.0, beta=0.0, p=2.0, mode="orthonormal", samples=64, seed=0,
-    tol=1e-6, out="runs",
-)
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
@@ -62,18 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        for key, kind in _KEY_TYPES.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
-        p.add_argument("--mode", choices=["orthonormal", "sqrt-scaled", "lp"])
-        p.add_argument("--out", type=str)
+        p = sub.add_parser(cmd, allow_abbrev=False)  # --sam is not --samples
+        for key, default in _settable(cmd).items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
         p.add_argument("--config", type=str)
     return parser
 
 
+def _settable(command: str) -> dict:
+    """The command's keys and out, the output directory, which the config echo leaves out."""
+    return dict(COMMANDS[command].keys, out="runs")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(COMMANDS[args.command].defaults)
+    defaults = _settable(args.command)
+    cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -81,32 +76,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"config file {args.config} must hold a JSON object")
         if "config" in loaded and isinstance(loaded["config"], dict):
             loaded = loaded["config"]  # accept a manifest file directly
-        cfg.update({k: v for k, v in loaded.items() if k in cfg})
-    for key in list(cfg):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    for k, kind in _KEY_TYPES.items():
-        if k in cfg:
-            v = cfg[k]
-            try:  # a --config value may be null, [1], true or, for an int key, 8.7
-                if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
-                    raise TypeError
-                cfg[k] = kind(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"{k}={json.dumps(v)} is not a valid {kind.__name__}") from None
-    for k in ("mode", "out"):
-        if not isinstance(cfg[k], str):
-            raise ValueError(f"{k}={json.dumps(cfg[k])} is not a valid str")
+        cfg.update({k: v for k, v in loaded.items() if k in cfg})  # keys it does not read are ignored
+    for key, default in defaults.items():
+        flag, kind = getattr(args, key), type(default)
+        v = cfg[key] if flag is None else flag
+        try:  # a --config value may be null, [1], true, 3 for a str key or, for an int key, 8.7
+            wrong = isinstance(v, bool) or (kind is str and not isinstance(v, str))
+            if wrong or (kind is int and isinstance(v, float) and not v.is_integer()):
+                raise TypeError
+            cfg[key] = kind(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}={json.dumps(v)} is not a valid {kind.__name__}") from None
     if cfg["seed"] < 0:  # numpy's own message would not name the seed
         raise ValueError(f"seed={cfg['seed']} must be >= 0")
     return cfg
-
-
-def _mode(cfg: dict) -> NormalizationMode:
-    if cfg["mode"] == "lp":
-        return NormalizationMode.lp_normalized(cfg["p"])
-    return NormalizationMode(cfg["mode"])
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -152,25 +135,21 @@ def _grid(cfg: dict, key: str) -> tuple[int, ...]:
     return tuple(geometric_grid(cfg[f"{key}_min"], cfg[f"{key}_max"]))
 
 
-def _experiment_config(cfg: dict, **grids) -> ExperimentConfig:
-    return ExperimentConfig(
-        params=JacobiParams(cfg["alpha"], cfg["beta"]), p=cfg["p"], mode=_mode(cfg),
-        seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"], **grids,
-    )
+def _params(cfg: dict) -> JacobiParams:
+    return JacobiParams(cfg["alpha"], cfg["beta"])
 
 
 def _norms(cfg: dict):
-    cfg["mode"] = "orthonormal"  # the norms are of p_n whatever --mode says; record the mode run
-    ecfg = _experiment_config(cfg, n_grid=_grid(cfg, "n"))
+    ecfg = ExperimentConfig(_params(cfg), cfg["p"], n_grid=_grid(cfg, "n"))
     fit = norm_regimes_experiment(ecfg)
     line = f"regime={fit.label} slope={fit.slope:.4f} max_residual={fit.max_residual:.4f}"
     return zip(ecfg.n_grid, fit.ys), {"fit": _fit_summary(fit), "regime": fit.label}, fit, line
 
 
 def _block_sum(cfg: dict):
-    if cfg["mode"] == "orthonormal":  # block sums live in sqrt scaling; record the mode run
-        cfg["mode"] = "sqrt-scaled"
-    ecfg = _experiment_config(cfg, N_grid=_grid(cfg, "N"))
+    ecfg = ExperimentConfig(
+        _params(cfg), cfg["p"], NormalizationMode.sqrt_scaled(), N_grid=_grid(cfg, "N"), tol=cfg["tol"]
+    )
     fit = block_sum_experiment(ecfg)
     expected = omega_exponent(ecfg.params, ecfg.p)
     fields = {"fit": _fit_summary(fit), "expected_slope": expected}
@@ -179,7 +158,11 @@ def _block_sum(cfg: dict):
 
 
 def _average_block(cfg: dict):
-    ecfg = _experiment_config(cfg, N_grid=_grid(cfg, "N"))
+    mode = NormalizationMode(cfg["mode"], cfg["p"] if cfg["mode"] == "lp" else None)
+    ecfg = ExperimentConfig(
+        _params(cfg), cfg["p"], mode, N_grid=_grid(cfg, "N"), seed=cfg["seed"], samples=cfg["samples"],
+        tol=cfg["tol"],
+    )
     res = average_block_experiment(ecfg)
     rows = zip(
         ecfg.N_grid, res.square_fit.ys, res.rademacher_fit.ys,
@@ -201,20 +184,16 @@ def _average_block(cfg: dict):
 
 def _near_one(cfg: dict):
     d = cfg["d"]
-    res = near_one_experiment(
-        JacobiParams(cfg["alpha"], cfg["beta"]), _grid(cfg, "n"), d_sweep=(d, d / 2, d / 4)
-    )
+    res = near_one_experiment(_params(cfg), _grid(cfg, "n"), d_sweep=(d, d / 2, d / 4))
     fields = {"chosen_d": res.chosen_d, "root_fit": _fit_summary(res.root_fit)}
     line = f"chosen_d={res.chosen_d} root_slope={res.root_fit.slope:.4f}"
     return res.rows, fields, res.root_fit, line
 
 
 def _witness(cfg: dict):
-    cfg["mode"] = "sqrt-scaled"  # the witness runs sqrt-scaled whatever --mode says; record the mode run
     N_grid = _grid(cfg, "N")
     rep = main_theorem_witness(
-        JacobiParams(cfg["alpha"], cfg["beta"]), cfg["p"], N_grid,
-        seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"],
+        _params(cfg), cfg["p"], N_grid, seed=cfg["seed"], samples=cfg["samples"], tol=cfg["tol"]
     )
     rows = zip(N_grid, rep.block_fit.ys, rep.square_fit.ys, rep.rademacher_fit.ys, rep.sign_ratios)
     fields = {
@@ -230,14 +209,14 @@ def _witness(cfg: dict):
 
 
 def _darboux_check(cfg: dict):
-    rows = darboux_envelope(JacobiParams(cfg["alpha"], cfg["beta"]), _grid(cfg, "n"))
+    rows = darboux_envelope(_params(cfg), _grid(cfg, "n"))
     growth = rows[-1][1] / rows[0][1]
     fields = {"envelope_growth": growth, "max_scaled_error": max(r[1] for r in rows)}
     return rows, fields, None, f"envelope_growth={growth:.4f} (bounded if ~<= 2)"
 
 
 def _identity_check(cfg: dict):
-    params = JacobiParams(cfg["alpha"], cfg["beta"])
+    params = _params(cfg)
     rng = np.random.default_rng(cfg["seed"])
     trials, n_cap = cfg["trials"], cfg["N_max"]
     for key in ("N_max", "trials"):
@@ -253,7 +232,7 @@ def _identity_check(cfg: dict):
 
 
 class Command(NamedTuple):
-    defaults: dict
+    keys: dict  # the config keys the command reads, each with its default
     header: tuple[str, ...]
     # merged config -> (CSV rows, summary fields besides the config echo,
     # fit to plot or None, stdout line after "<command>: ")
@@ -261,26 +240,30 @@ class Command(NamedTuple):
 
 
 COMMANDS: dict[str, Command] = {
-    "norms": Command(dict(n_min=64, n_max=4096), ("n", "norm"), _norms),
-    "block-sum": Command(dict(N_min=8, N_max=512), ("N", "norm"), _block_sum),
+    "norms": Command(dict(alpha=0.0, beta=0.0, seed=0, p=2.0, n_min=64, n_max=4096), ("n", "norm"), _norms),
+    "block-sum": Command(
+        dict(alpha=0.0, beta=0.0, seed=0, p=2.0, tol=1e-6, N_min=8, N_max=512), ("N", "norm"), _block_sum
+    ),
     "average-block": Command(
-        dict(N_min=8, N_max=256),
+        dict(alpha=0.0, beta=0.0, seed=0, p=2.0, mode="orthonormal", samples=64, tol=1e-6,
+             N_min=8, N_max=256),
         ("N", "square_norm", "rademacher_mean", "rademacher_stderr", "ratio"),
         _average_block,
     ),
     "near-one": Command(
-        dict(n_min=10, n_max=1000, d=0.5), ("d", "min_ratio", "max_ratio"), _near_one
+        dict(alpha=0.0, beta=0.0, seed=0, n_min=10, n_max=1000, d=0.5), ("d", "min_ratio", "max_ratio"),
+        _near_one,
     ),
     "witness": Command(
-        dict(N_min=8, N_max=256),
+        dict(alpha=0.0, beta=0.0, seed=0, p=2.0, samples=64, tol=1e-6, N_min=8, N_max=256),
         ("N", "block_norm", "square_norm", "rademacher_mean", "sign_ratio"),
         _witness,
     ),
     "darboux-check": Command(
-        dict(n_min=16, n_max=512), ("n", "max_scaled_error"), _darboux_check
+        dict(alpha=0.0, beta=0.0, seed=0, n_min=16, n_max=512), ("n", "max_scaled_error"), _darboux_check
     ),
     "identity-check": Command(
-        dict(trials=10000, N_max=64), ("N", "max_deviation"), _identity_check
+        dict(alpha=0.0, beta=0.0, seed=0, trials=10000, N_max=64), ("N", "max_deviation"), _identity_check
     ),
 }
 
@@ -302,9 +285,9 @@ def main(argv=None) -> int:
     try:
         rows, fields, fit, line = COMMANDS[command].run(cfg)
         _write_csv(outdir / f"{command}.csv", COMMANDS[command].header, rows)
-        # the config echo excludes run-local keys so identical inputs give
+        # the config echo holds the command's keys and not out, so identical inputs give
         # byte-identical summaries and manifests regardless of output location
-        echo = {k: v for k, v in cfg.items() if k != "out"}
+        echo = {k: cfg[k] for k in COMMANDS[command].keys}
         _write_json(outdir / f"{command}.json", {"config": echo, **fields})
         if fit is not None:
             emit_plot_data(fit, outdir / f"{command}.dat")

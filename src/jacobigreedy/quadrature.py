@@ -357,7 +357,8 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
     (sum_j f_j^2, sums over one parity) take each node's weight plus its mirror's, and a sum over both
     parities, as even- and odd-degree parts e and o, |e + o|^p at a node and |e - o|^p at its mirror.
     At p = 2, Parseval sums and no mesh. Memory: O(_BLOCK x rows) for the pass and the prefix sums,
-    O(points) per other quantity (O(points x samples) for the sign sums).
+    O(points) per other quantity (O(points x samples) for the sign sums). EvaluationError: a
+    coefficient not finite, or a recurrence overflow (values, or their p-th powers, past the doubles).
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -369,6 +370,8 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
         sign_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
         signs = np.random.default_rng(sign_seed).integers(0, 2, size=(samples, len(family))) * 2.0 - 1.0
     prefix = None if prefix is None else np.asarray(prefix, dtype=float).reshape(len(family)) * family.scales
+    if not all(np.isfinite(c).all() for c in (coeffs, prefix) if c is not None):
+        raise EvaluationError("coefficients must be finite")  # so a non-finite estimate is an overflow
     pre_q = k + square  # then the prefix sums; the Rademacher quantity comes last
     rad_q = pre_q + (prefix is not None)
     odd = np.array(family.degrees) % 2
@@ -424,8 +427,14 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
             pth_powers = parseval(signs * family.scales)
             values.append(float(np.mean(pth_powers)) ** 0.5)
     else:
-        values = _converge(estimator, params, max(family.degrees), tol, rad_q + (signs is not None),
-                           params.alpha == params.beta)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, here
+            try:
+                values = _converge(estimator, params, max(family.degrees), tol, rad_q + (signs is not None),
+                                   params.alpha == params.beta)
+            except EvaluationError:  # the family's values, or their p-th powers, left the double range
+                raise EvaluationError(
+                    f"Jacobi recurrence overflowed on the mesh of degree {max(family.degrees)}"
+                ) from None
     rademacher = None
     if signs is not None:
         idx = np.random.default_rng(boot_seed).integers(0, samples, size=(_BOOTSTRAP, samples))

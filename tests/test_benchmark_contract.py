@@ -5,8 +5,8 @@ arguments of some of them (its hooks); perfbench/worker.py reads the cache of
 greedy._orthonormal_lp_norm. A renamed function or argument leaves the
 package's own tests green and breaks only the benchmark. These tests make
 one toy call through every hooked function under an installed Tracer, in a
-subprocess so that this process's modules stay unpatched, and run the
-benchmark's own self-test.
+subprocess so that this process's modules stay unpatched, check that every
+benchmark task's CLI argv parses, and run the benchmark's own self-test.
 """
 
 import json
@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from jacobigreedy.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -91,6 +93,36 @@ def test_every_hook_sees_its_arguments():
     for key in ("jacobi.eval_s", "jacobi.largest_root.s", "quadrature.gauss_rule.s"):
         assert seconds.get(key, 0.0) > 0.0, key
     assert out["family_bytes_max"] > 0
+
+
+ARGV_PROBE = """
+import json
+from pathlib import Path
+import jacobigreedy.cli as cli
+import workloads
+
+argvs = []
+cli.main = argvs.append  # record each CLI task's argv instead of running it
+for workload in workloads.WORKLOADS:
+    for task in workloads.build(workload, 0, {}):
+        if task.run.__qualname__.startswith("_cli_task."):  # the API tasks would compute
+            task.run(Path("unused"))
+print(json.dumps(argvs))
+"""
+
+
+def test_benchmark_cli_argv_parse():
+    proc = _run(["-c", ARGV_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    argvs = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert {argv[0] for argv in argvs} == {"witness", "average-block", "norms", "near-one", "darboux-check"}
+    parser, rejected = build_parser(), []
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(argv)
+    assert rejected == []
 
 
 def test_perfbench_selftest_passes():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacobigreedy.cli import COMMANDS, emit_plot_data, main
+from jacobigreedy.cli import COMMANDS, build_parser, emit_plot_data, main
 from jacobigreedy.experiments import SlopeFit
 from jacobigreedy.quadrature import ConvergenceError
 
@@ -50,8 +50,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["norms", "--tol", "0"],  # p = 2 integrates nothing, so no later check sees tol
-            ["norms", "--p", "3", "--tol", "nan"],
+            ["block-sum", "--tol", "0"],  # p = 2 integrates nothing, so no later check sees tol
+            ["block-sum", "--p", "3", "--tol", "nan"],
             ["witness", "--p", "3", "--tol", "-1"],
         ],
     )
@@ -70,7 +70,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["norms", "--tol", "inf"], ["witness", "--p", "3", "--tol", "inf"]],
+        [["block-sum", "--tol", "inf"], ["witness", "--p", "3", "--tol", "inf"]],
     )
     def test_tol_not_finite(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -107,9 +107,9 @@ class TestExitCodes:
     def test_config_int_not_integral(self, tmp_path, capsys, payload, shown):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
-        assert run(["block-sum", "--p", "3", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert run(["average-block", "--p", "3", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {shown} is not a valid int\n"
-        assert not (tmp_path / "block-sum.csv").exists()
+        assert not (tmp_path / "average-block.csv").exists()
 
     def test_config_int_integral_float_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -145,6 +145,43 @@ class TestExitCodes:
     def test_unknown_flag(self):
         assert run(["norms", "--bogus", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["norms", "--tol", "1e-5"], ["norms", "--mode", "lp"], ["near-one", "--p", "3"],
+         ["witness", "--mode", "orthonormal"], ["block-sum", "--mode", "orthonormal"],
+         ["darboux-check", "--samples", "8"], ["identity-check", "--p", "3"],
+         ["witness", "--sam", "8"]],  # a prefix is not the flag
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        for command in COMMANDS:  # the benchmark passes --seed to every command
+            assert build_parser().parse_args([command, "--seed", "3"]).seed == 3
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        flags = {
+            "norms": "p n-min n-max",
+            "block-sum": "p tol N-min N-max",
+            "average-block": "p mode samples tol N-min N-max",
+            "near-one": "n-min n-max d",
+            "witness": "p samples tol N-min N-max",
+            "darboux-check": "n-min n-max",
+            "identity-check": "trials N-max",
+        }
+        every = {f for own in flags.values() for f in own.split()} | {"alpha", "beta", "seed", "out", "config"}
+        for command, own in flags.items():
+            taken = set()
+            for flag in sorted(every):
+                try:
+                    build_parser().parse_args([command, "--" + flag, "1"])
+                    taken.add(flag)
+                except SystemExit:
+                    pass
+            assert taken == {*own.split(), "alpha", "beta", "seed", "out", "config"}, command
+            assert {k.replace("_", "-") for k in COMMANDS[command].keys} == taken - {"out", "config"}
+
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 
@@ -178,8 +215,7 @@ class TestOutputs:
         assert header == ",".join(COMMANDS[cmd].header)
 
     def test_norms_small(self, tmp_path):
-        code = run(["norms", "--p", "3", "--n-min", "16", "--n-max", "64",
-                    "--tol", "1e-5", "--out", str(tmp_path)])
+        code = run(["norms", "--p", "3", "--n-min", "16", "--n-max", "64", "--out", str(tmp_path)])
         assert code == 0
         summary = json.loads((tmp_path / "norms.json").read_text())
         assert summary["regime"] == "bounded"
@@ -218,39 +254,34 @@ class TestReproducibility:
                     "--out", str(b)]) == 0
         assert (a / "average-block.csv").read_bytes() == (b / "average-block.csv").read_bytes()
 
-    def test_block_sum_manifest_records_mode_that_ran(self, tmp_path):
+    @staticmethod
+    def check_manifest_of(tmp_path, command, flags, old_mode):
+        """The manifest records the keys the command read, and no mode: none of
+        block-sum, witness and norms has more than one way to run. A manifest from
+        an earlier version, which recorded a mode and every other key, still
+        loads and reproduces the CSV."""
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["block-sum", "--p", "3", "--N-min", "8", "--N-max", "16", "--tol", "1e-5"]
-        assert run([*args, "--out", str(a)]) == 0
+        assert run([command, *flags, "--out", str(a)]) == 0
         manifest = json.loads((a / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "sqrt-scaled"
-        echo = json.loads((a / "block-sum.json").read_text())["config"]
-        assert echo == {k: v for k, v in manifest["config"].items() if k != "out"}
-        manifest["config"]["mode"] = "orthonormal"  # written by earlier versions
+        assert "mode" not in manifest["config"]
+        assert manifest["config"].keys() == COMMANDS[command].keys.keys()
+        assert json.loads((a / f"{command}.json").read_text())["config"] == manifest["config"]
+        manifest["config"] = {"mode": old_mode, "tol": 1e-5, "samples": 8, **manifest["config"]}
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(manifest))
-        assert run(["block-sum", "--config", str(old), "--out", str(b)]) == 0
-        assert (a / "block-sum.csv").read_bytes() == (b / "block-sum.csv").read_bytes()
+        assert run([command, "--config", str(old), "--out", str(b)]) == 0
+        assert (a / f"{command}.csv").read_bytes() == (b / f"{command}.csv").read_bytes()
+
+    def test_block_sum_manifest_records_mode_that_ran(self, tmp_path):
+        flags = ["--p", "3", "--N-min", "8", "--N-max", "16", "--tol", "1e-5"]
+        self.check_manifest_of(tmp_path, "block-sum", flags, "orthonormal")
 
     def test_witness_manifest_records_mode_that_ran(self, tmp_path):
-        args = ["witness", "--p", "3", *FAST_WITNESS, "--out", str(tmp_path)]
-        assert run(args) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "sqrt-scaled"
-        echo = json.loads((tmp_path / "witness.json").read_text())["config"]
-        assert echo == {k: v for k, v in manifest["config"].items() if k != "out"}
+        self.check_manifest_of(tmp_path, "witness", ["--p", "3", *FAST_WITNESS], "orthonormal")
 
     def test_norms_manifest_records_mode_that_ran(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["norms", "--p", "3", "--n-min", "8", "--n-max", "16"]
-        assert run([*args, "--mode", "lp", "--out", str(a)]) == 0
-        manifest = json.loads((a / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "orthonormal"
-        echo = json.loads((a / "norms.json").read_text())["config"]
-        assert echo == {k: v for k, v in manifest["config"].items() if k != "out"}
-        assert run([*args, "--out", str(b)]) == 0
-        assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()
-        assert (a / "norms.json").read_bytes() == (b / "norms.json").read_bytes()
+        flags = ["--p", "3", "--n-min", "8", "--n-max", "16"]
+        self.check_manifest_of(tmp_path, "norms", flags, "lp")
 
     def test_manifest_independent_of_output_path(self, tmp_path):
         args = ["identity-check", "--trials", "20", "--N-max", "4"]

@@ -34,14 +34,13 @@ from jacobigreedy.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-NORMS = ["norms", "--n-min", "16", "--n-max", "64", "--tol", "1e-5"]
+NORMS = ["norms", "--n-min", "16", "--n-max", "64"]
 WITNESS = ["witness", "--seed", "1", "--N-min", "8", "--N-max", "32", "--samples", "8",
            "--tol", "1e-5"]
 CASES = {
     "norms-p3": [*NORMS, "--p", "3"],
     "norms-p6": [*NORMS, "--p", "6"],
     "norms-alpha1-beta0.5": [*NORMS, "--alpha", "1", "--beta", "0.5", "--p", "3"],
-    "norms-mode-lp": [*NORMS, "--mode", "lp", "--p", "3"],
     "block-sum-p3": ["block-sum", "--p", "3", "--N-min", "8", "--N-max", "32", "--tol", "1e-5"],
     "block-sum-p2-alpha0.5": ["block-sum", "--p", "2", "--alpha", "0.5", "--N-min", "8",
                               "--N-max", "64"],

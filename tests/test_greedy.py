@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from jacobigreedy.greedy import (
     quasi_greedy_ratio,
     sign_ratio,
 )
-from jacobigreedy.quadrature import gauss_jacobi_rule
+from jacobigreedy.quadrature import EvaluationError, gauss_jacobi_rule
 
 LEG = JacobiParams(0.0, 0.0)
 ON = NormalizationMode.orthonormal()
@@ -240,6 +241,23 @@ class TestExpansionNorm:
         e = Expansion(JacobiParams(300.0, 0.0), mode, {3000: 1.0, 7: -0.5})
         assert math.isfinite(expansion_lp_norm(e, 2.0))
         assert quasi_greedy_ratio(e, 2.0) == 1.0
+
+    @pytest.mark.parametrize("call", [expansion_lp_norm, quasi_greedy_ratio])
+    def test_mesh_overflow_names_the_recurrence_and_degree(self, call):
+        # P_3001^(300,300) passes the largest double near x = +-1 on the p = 3 mesh
+        e = Expansion(JacobiParams(300.0, 300.0), SQ, {3000: 1.0, 3001: -0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one error, no cascade of numpy RuntimeWarnings
+            with pytest.raises(EvaluationError, match="recurrence overflowed on the mesh of degree 3001$"):
+                call(e, 3.0)
+
+    @pytest.mark.parametrize("call", [expansion_lp_norm, quasi_greedy_ratio])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficient_is_not_an_overflow(self, call, bad):
+        e = Expansion(LEG, SQ, {2: 1.0, 5: bad})
+        for p in (2.0, 3.0):
+            with pytest.raises(EvaluationError, match="coefficients must be finite"):
+                call(e, p)
 
     @pytest.mark.parametrize("alpha,beta", [(1.5, -0.3), (-0.45, 2.0)])
     def test_p2_parseval_matches_gauss_rule(self, alpha, beta):
