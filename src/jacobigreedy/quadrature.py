@@ -25,7 +25,8 @@ until it has converged (_converge). A family's quantities (family_norms:
 combinations, so every Lp norm of an expansion, the square function, sign
 sums, greedy partial sums) come from one jacobi_iter pass per level over
 blocks of jacobi._BLOCK points, each reduced over the family: the pass holds
-O(rows x _BLOCK). lp_norms_of_rows, behind lp_norm only, takes rows of any
+O(rows x _BLOCK), on narrower blocks for the sign sums (32 MiB of rows up to
+4096 rows). lp_norms_of_rows, behind lp_norm only, takes rows of any
 function. At alpha = beta the mesh is folded at theta = pi/2 and evaluated
 below it only, every family's even- and odd-degree parts mirrored apart;
 so is the panel set of a single p_n.
@@ -299,41 +300,44 @@ def lp_norm(
     return float(lp_norms_of_rows(lambda x: np.atleast_2d(f(x)), params, p, degree, tol)[0])
 
 
-def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs, prefix=None):
-    """(sum_j coeffs[i, j] f_j for each row i, sum_j f_j^2 or None, signs @ rows or None) at x.
+def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs=None, prefix=None):
+    """(sum_j coeffs[i, j] f_j for each row i, sum_j f_j^2 or None) at x.
 
-    One jacobi_iter run per block of _BLOCK points; the family is reduced
-    within the block, so each result runs over the points of x only. A prefix
-    (c, buffer, reduce) gets c_j f_j in buffer row j, then reduce(block, buffer[:, :m]).
+    One jacobi_iter run per block of points; the family is reduced within the block,
+    so each result runs over the points of x only. A prefix (c, buffer, reduce) gets
+    c_j f_j in buffer row j, then reduce(block, buffer[:, :m]); signs (e, reduce) get
+    reduce(block, e @ rows), rows[j] = f_j. They need every row, so their blocks hold
+    W = min(_BLOCK, max(_BLOCK / 32, 128 _BLOCK / N)) points: 32 MiB of rows up to N = 4096.
     """
-    size, width = x.size, min(x.size, _BLOCK)
+    step = _BLOCK if signs is None else min(_BLOCK, max(_BLOCK // 32, 128 * _BLOCK // len(family)))
+    size, width = x.size, min(x.size, step)
     at: dict[int, list[int]] = {}
     for j, d in enumerate(family.degrees):
         at.setdefault(d, []).append(j)
     comb = np.zeros((len(coeffs), size))
     sq = np.zeros(size) if square else None
-    rad = None if signs is None else np.empty((len(signs), size))
-    rows = np.empty((len(family) if rad is not None else 1, width))  # the sign sums need all rows
+    rows = np.empty((len(family) if signs is not None else 1, width))
+    sums = None if signs is None else np.empty((len(signs[0]), width))
     tmp = np.empty(width)
-    for lo in range(0, size, _BLOCK):
-        block, m = slice(lo, lo + _BLOCK), min(_BLOCK, size - lo)
+    for lo in range(0, size, step):
+        block, m = slice(lo, lo + step), min(step, size - lo)
         parts, sq_part, t = comb[:, block], None if sq is None else sq[block], tmp[:m]
         for n, pn in jacobi_iter(family.params, x[block], max(family.degrees)):
             for j in at.get(n, ()):
                 for part, c in zip(parts, coeffs[:, j]):  # ascending n, as in jacobi_combination
                     if c:
                         part += np.multiply(pn, c, out=t)
-                if sq is not None or rad is not None:
-                    row = np.multiply(pn, family.scales[j], out=rows[j if rad is not None else 0, :m])
+                if sq is not None or signs is not None:
+                    row = np.multiply(pn, family.scales[j], out=rows[j if signs is not None else 0, :m])
                     if sq is not None:
                         sq_part += np.multiply(row, row, out=t)
                 if prefix is not None:
                     np.multiply(pn, prefix[0][j], out=prefix[1][j, :m])
-        if rad is not None:
-            np.matmul(signs, rows[:, :m], out=rad[:, block])
+        if signs is not None:
+            signs[1](block, np.matmul(signs[0], rows[:, :m], out=sums[:, :m]))
         if prefix is not None:
             prefix[2](block, prefix[1][:, :m])
-    return comb, sq, rad
+    return comb, sq
 
 
 _BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
@@ -357,8 +361,9 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
     (sum_j f_j^2, sums over one parity) take each node's weight plus its mirror's, and a sum over both
     parities, as even- and odd-degree parts e and o, |e + o|^p at a node and |e - o|^p at its mirror.
     At p = 2, Parseval sums and no mesh. Memory: O(_BLOCK x rows) for the pass and the prefix sums,
-    O(points) per other quantity (O(points x samples) for the sign sums). EvaluationError: a
-    coefficient not finite, or a recurrence overflow (values, or their p-th powers, past the doubles).
+    O((rows + samples) x W) for the sign sums (32 MiB of rows up to 4096 rows; W: _family_pass),
+    O(points) per other quantity. EvaluationError: a coefficient not finite, or a recurrence
+    overflow (values, or their p-th powers, past the doubles).
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -382,11 +387,11 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
         mixed = w.ndim == 2 and 0 < odd.sum() < len(odd)  # then each sum is stacked as (e; o)
         split = (lambda a: np.concatenate([a * (1 - odd), a * odd])) if mixed else (lambda a: a)
 
-        def pth(v):  # integral of |.|^p for each row of v
+        def pth(v, block=slice(None)):  # integral of |.|^p over the block for each row of v
             if not mixed:
-                return [np.dot(sym, np.abs(row) ** p) for row in v]
+                return [np.dot(sym[block], np.abs(row) ** p) for row in v]
             e, o = np.split(v, 2)
-            return np.abs(e + o) ** p @ w[0] + np.abs(e - o) ** p @ w[1]
+            return np.abs(e + o) ** p @ w[0][block] + np.abs(e - o) ** p @ w[1][block]
 
         reduce = None
         if prefix is not None and pre_q in open_:
@@ -401,16 +406,21 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
                         acc[i] += np.power(np.abs(np.subtract(*run, out=t), out=t), p, out=t) @ w[1][block]
                 acc[:] += np.power(np.abs(rows, out=rows), p, out=rows) @ (w[0] if mixed else sym)[block]
 
-        comb, sq, rad = _family_pass(family, np.cos(theta), split(coeffs[[q for q in open_ if q < k]]),
-                                     square and k in open_, split(signs) if rad_q in open_ else None,
-                                     reduce and (prefix, buffer, reduce))
+        pth_powers = np.zeros(len(signs)) if rad_q in open_ else pth_powers  # the bootstrap reads the last
+
+        def sums(block, eps_rows):  # eps_rows[i] = signs[i] @ rows, summed over the block as |.|^p
+            pth_powers[:] += (pth(eps_rows, block) if mixed else
+                              np.power(np.abs(eps_rows, out=eps_rows), p, out=eps_rows) @ sym[block])
+
+        comb, sq = _family_pass(family, np.cos(theta), split(coeffs[[q for q in open_ if q < k]]),
+                                square and k in open_, (split(signs), sums) if rad_q in open_ else None,
+                                reduce and (prefix, buffer, reduce))
         out = [v ** (1.0 / p) for v in pth(comb)]
         if sq is not None:
             out.append(np.dot(sym, sq ** (p / 2.0)) ** (1.0 / p))
         if reduce is not None:
             out.append(acc ** (1.0 / p))
-        if rad is not None:
-            pth_powers = pth(rad) if mixed else np.power(np.abs(rad, out=rad), p, out=rad) @ sym
+        if rad_q in open_:
             out.append(float(np.mean(pth_powers)) ** (1.0 / p))
         return out
 

@@ -156,6 +156,31 @@ def test_quantities_split_across_blocks(monkeypatch):
     assert rademacher == pytest.approx(oracle_rademacher(fam, p, 8, 4, tol), rel=1e-14)
 
 
+@pytest.mark.parametrize("ab, degrees", [
+    ((0.5, 0.5), staggered_block(160)),  # one parity, folded
+    ((0.0, 0.0), tuple(range(160, 320))),  # both parities, folded: |e + o|^p and |e - o|^p
+    ((0.5, 0.0), staggered_block(160)),  # alpha != beta, the whole mesh
+])
+def test_sign_sums_reduced_across_blocks(monkeypatch, ab, degrees):
+    # 160 rows in _BLOCK = 1024 make the sign sums take blocks of 128 * 1024 // 160 = 819 points,
+    # less than half of every mesh; unpatched, every mesh is one block. The partial sums of the
+    # p-th powers add in another order: equal to rounding, set at 1e-14
+    params, p, tol = JacobiParams(*ab), 3.0, 1e-6
+    fam = JacobiFamily(params, SQRT, degrees)
+    run = lambda: family_norms(fam, params, p, tol, samples=16, seed=3)[2]
+    whole_mean, whole_err = run()
+    monkeypatch.setattr(quadrature, "_BLOCK", 1024)
+    passes, family_pass, jacobi_iter = [], quadrature._family_pass, quadrature.jacobi_iter
+    monkeypatch.setattr(quadrature, "_family_pass", lambda *a: passes.append([]) or family_pass(*a))
+    monkeypatch.setattr(quadrature, "jacobi_iter",
+                        lambda params, x, nmax: passes[-1].append(x.size) or jacobi_iter(params, x, nmax))
+    mean, err = run()
+    assert len(passes) >= 2 and all(len(blocks) >= 3 for blocks in passes)
+    assert max(max(blocks) for blocks in passes) == 819
+    assert mean == pytest.approx(whole_mean, rel=1e-14, abs=0.0)
+    assert abs(err - whole_err) <= 1e-13 * whole_mean
+
+
 def test_row_norms_summed_across_blocks(monkeypatch):
     # lp_norms_of_rows sums its integrals block by block, an order of addition
     # the whole-mesh matrix product did not have: equal to rounding, set at 1e-13
@@ -222,4 +247,34 @@ def test_greedy_partial_sums_are_reduced_block_by_block():
     assert proc.returncode == 0, proc.stderr
     ratio, grown_mb = map(float, proc.stdout.split())
     assert ratio >= 1.0
+    assert grown_mb < 80.0
+
+
+SIGN_SUM_PROBE = """
+import resource
+import jacobigreedy as jg
+from jacobigreedy.experiments import staggered_block
+from jacobigreedy.quadrature import family_norms
+
+params = jg.JacobiParams(0.5, 0.0)
+fam = jg.JacobiFamily(params, jg.NormalizationMode.sqrt_scaled(), staggered_block(512))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+mean, err = family_norms(fam, params, 2.5, 1e-6, samples=256)[2]
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(mean, (after - before) / 1024)  # ru_maxrss is in KiB
+"""
+
+
+def test_sign_sums_are_reduced_block_by_block():
+    # 512 rows converge at level 1, a mesh of 24,168 points, where the rows
+    # of one whole-mesh block take 99 MB and the 256 sign sums over it 49.5 MB.
+    # Those grew the peak by 147 MB; on blocks of 8,192 points (32 MiB of rows)
+    # reduced in place it grows by about 53 MB. Run in a fresh interpreter, so
+    # the peak is this call's own.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", SIGN_SUM_PROBE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    mean, grown_mb = map(float, proc.stdout.split())
+    assert mean > 0.0
     assert grown_mb < 80.0
