@@ -201,13 +201,11 @@ def _average_block(cfg: ExperimentConfig, combos_for) -> tuple[AverageBlockResul
     for N in cfg.N_grid:
         fam = JacobiFamily(cfg.params, cfg.mode, staggered_block(N))
         samples, seed = cfg.samples, _child_seed(cfg.seed, N)
-        norms, square, (mean, err), _ = family_norms(fam, cfg.params, cfg.p, cfg.tol, combos_for(N),
-                                                     square=True, samples=samples, seed=seed)
+        norms, square, (mean, err), _ = family_norms(fam, cfg.p, cfg.tol, combos_for(N), square=True,
+                                                     samples=samples, seed=seed)
         if err > 0.02 * mean:  # one automatic doubling of the sample count
             samples *= 2
-            mean, err = rademacher_average_norm(
-                fam, cfg.params, cfg.p, samples=samples, seed=seed, tol=cfg.tol
-            )
+            mean, err = rademacher_average_norm(fam, cfg.p, samples=samples, seed=seed, tol=cfg.tol)
         rows.append((square, mean, err, samples, norms))
     sq_vals, rad_means, rad_errs, used, combos = zip(*rows)
     result = AverageBlockResult(

@@ -73,6 +73,8 @@ class JacobiFamily:
         self.params = params
         self.mode = mode
         self.degrees = tuple(int(d) for d in degrees)
+        if not self.degrees or min(self.degrees) < 0:
+            raise ValueError("degrees must be nonempty and >= 0")
         self.scales = basis_scales(params, mode, self.degrees)
 
     def __len__(self) -> int:
@@ -134,7 +136,7 @@ def expansion_lp_norm(e: Expansion, p: float, tol: float = 1e-8) -> float:
     if not e.coeffs:
         return 0.0
     fam = JacobiFamily(e.params, e.mode, e.support)
-    return family_norms(fam, e.params, p, tol, ([e.coeffs[j] for j in fam.degrees],))[0][0]
+    return family_norms(fam, p, tol, ([e.coeffs[j] for j in fam.degrees],))[0][0]
 
 
 def quasi_greedy_ratio(e: Expansion, p: float, tol: float = 1e-8) -> float:
@@ -146,7 +148,7 @@ def quasi_greedy_ratio(e: Expansion, p: float, tol: float = 1e-8) -> float:
         raise ValueError("expansion must be nonzero")
     order = greedy_ordering(e)
     fam = JacobiFamily(e.params, e.mode, order)
-    norms = family_norms(fam, e.params, p, tol, prefix=[e.coeffs[j] for j in order])[3]
+    norms = family_norms(fam, p, tol, prefix=[e.coeffs[j] for j in order])[3]
     return float(np.max(norms) / norms[-1])
 
 
@@ -173,7 +175,7 @@ def sign_ratio(
     if any(s not in (-1.0, 1.0) for s in eps):
         raise ValueError("signs must be +1 or -1")
     fam = JacobiFamily(params, mode, A)
-    (signed, plain), *_ = family_norms(fam, params, p, tol, (eps, [1.0] * len(A)))
+    (signed, plain), *_ = family_norms(fam, p, tol, (eps, [1.0] * len(A)))
     return signed / plain
 
 

@@ -24,12 +24,13 @@ oscillation it must resolve. Quantities on one mesh share its levels, each
 until it has converged (_converge). A family's quantities (family_norms:
 combinations, so every Lp norm of an expansion, the square function, sign
 sums, greedy partial sums) come from one jacobi_iter pass per level over
-blocks of jacobi._BLOCK points, each reduced over the family: the pass holds
-O(rows x _BLOCK), on narrower blocks for the sign sums (32 MiB of rows up to
-4096 rows). lp_norms_of_rows, behind lp_norm only, takes rows of any
-function. At alpha = beta the mesh is folded at theta = pi/2 and evaluated
-below it only, every family's even- and odd-degree parts mirrored apart;
-so is the panel set of a single p_n.
+blocks of points, each reduced over the family. Combinations and the square
+function stream into whole-mesh sums, on blocks of jacobi._BLOCK points; the
+sign and partial sums, which need every row at once, read the rows the pass
+holds, on blocks of at most 32 MiB of rows (up to 4096 rows). lp_norms_of_rows,
+behind lp_norm only, takes rows of any function. At alpha = beta the mesh is
+folded at theta = pi/2 and evaluated below it only, every family's even- and
+odd-degree parts mirrored apart; so is the panel set of a single p_n.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def lp_norm_between_zeros(
     the power p, so nothing overflows. If even (|f| even in x, alpha = beta),
     f is evaluated only below theta = pi/2 (_abs_on).
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     theta = np.sort(np.arccos(np.asarray(zeros, dtype=float)))
     if theta.size == 0:
         raise ValueError("f needs at least one zero")
@@ -300,51 +301,43 @@ def lp_norm(
     return float(lp_norms_of_rows(lambda x: np.atleast_2d(f(x)), params, p, degree, tol)[0])
 
 
-def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, square: bool, signs=None, prefix=None):
-    """(sum_j coeffs[i, j] f_j for each row i, sum_j f_j^2 or None) at x.
+def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, comb: np.ndarray, sq, hold: bool):
+    """Add sum_j coeffs[i, j] f_j at x to comb[i], and sum_j f_j^2 to sq unless it is None.
 
-    One jacobi_iter run per block of points; the family is reduced within the block,
-    so each result runs over the points of x only. A prefix (c, buffer, reduce) gets
-    c_j f_j in buffer row j, then reduce(block, buffer[:, :m]); signs (e, reduce) get
-    reduce(block, e @ rows), rows[j] = f_j. They need every row, so their blocks hold
-    W = min(_BLOCK, max(_BLOCK / 32, 128 _BLOCK / N)) points: 32 MiB of rows up to N = 4096.
+    A generator: one jacobi_iter run per block of points, the family reduced within the
+    block, so comb and sq run over the points of x only. If hold, every row f_j of a block
+    is held and (block, rows) is yielded after it; the caller may overwrite rows. Held blocks
+    are W = min(_BLOCK, max(_BLOCK / 32, 128 _BLOCK / N)) points wide: 32 MiB of rows up to
+    N = 4096; other blocks _BLOCK.
     """
-    step = _BLOCK if signs is None else min(_BLOCK, max(_BLOCK // 32, 128 * _BLOCK // len(family)))
-    size, width = x.size, min(x.size, step)
+    step = min(_BLOCK, max(_BLOCK // 32, 128 * _BLOCK // len(family))) if hold else _BLOCK
     at: dict[int, list[int]] = {}
     for j, d in enumerate(family.degrees):
         at.setdefault(d, []).append(j)
-    comb = np.zeros((len(coeffs), size))
-    sq = np.zeros(size) if square else None
-    rows = np.empty((len(family) if signs is not None else 1, width))
-    sums = None if signs is None else np.empty((len(signs[0]), width))
+    width = min(x.size, step)
+    rows = np.empty((len(family) if hold else 1, width))
     tmp = np.empty(width)
-    for lo in range(0, size, step):
-        block, m = slice(lo, lo + step), min(step, size - lo)
+    for lo in range(0, x.size, step):
+        block, m = slice(lo, lo + step), min(step, x.size - lo)
         parts, sq_part, t = comb[:, block], None if sq is None else sq[block], tmp[:m]
         for n, pn in jacobi_iter(family.params, x[block], max(family.degrees)):
             for j in at.get(n, ()):
                 for part, c in zip(parts, coeffs[:, j]):  # ascending n, as in jacobi_combination
                     if c:
                         part += np.multiply(pn, c, out=t)
-                if sq is not None or signs is not None:
-                    row = np.multiply(pn, family.scales[j], out=rows[j if signs is not None else 0, :m])
+                if sq is not None or hold:
+                    row = np.multiply(pn, family.scales[j], out=rows[j if hold else 0, :m])
                     if sq is not None:
                         sq_part += np.multiply(row, row, out=t)
-                if prefix is not None:
-                    np.multiply(pn, prefix[0][j], out=prefix[1][j, :m])
-        if signs is not None:
-            signs[1](block, np.matmul(signs[0], rows[:, :m], out=sums[:, :m]))
-        if prefix is not None:
-            prefix[2](block, prefix[1][:, :m])
-    return comb, sq
+        if hold:
+            yield block, rows[:, :m]
 
 
 _BOOTSTRAP = 200  # resamples behind the standard error of the Rademacher mean
 
 
-def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, combos=(),
-                 square: bool = False, samples: int | None = None, seed: int = 0, prefix=None) -> tuple:
+def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = False,
+                 samples: int | None = None, seed: int = 0, prefix=None) -> tuple:
     """Lp(mu) norms of quantities of one family f_j = s_j P_{d_j}, one recurrence pass per mesh level.
 
     family is a greedy.JacobiFamily (.params, .degrees, .scales s_j). Returns (norms of the combos,
@@ -360,21 +353,24 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
     Each converges on its own (_converge), at alpha = beta on a mesh folded at pi/2: even integrands
     (sum_j f_j^2, sums over one parity) take each node's weight plus its mirror's, and a sum over both
     parities, as even- and odd-degree parts e and o, |e + o|^p at a node and |e - o|^p at its mirror.
-    At p = 2, Parseval sums and no mesh. Memory: O(_BLOCK x rows) for the pass and the prefix sums,
-    O((rows + samples) x W) for the sign sums (32 MiB of rows up to 4096 rows; W: _family_pass),
-    O(points) per other quantity. EvaluationError: a coefficient not finite, or a recurrence
+    Combinations and the square function are summed over the whole mesh, then integrated; the sign
+    sums and the prefix sums are integrated block by block from the rows _family_pass holds.
+    At p = 2, Parseval sums and no mesh. Memory: O((rows + samples) x W) while the sign or prefix
+    sums are open (32 MiB of rows up to 4096 rows; W: _family_pass), O(points) per other quantity.
+    ValueError: p not finite and >= 1. EvaluationError: a coefficient not finite, or a recurrence
     overflow (values, or their p-th powers, past the doubles).
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
+    params = family.params
     coeffs = np.asarray(combos, dtype=float).reshape(len(combos), len(family)) * family.scales
-    k, signs, pth_powers, buffer = len(coeffs), None, None, None
+    k, signs, pth_powers = len(coeffs), None, None
     if samples is not None:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         sign_seed, boot_seed = np.random.SeedSequence(seed).spawn(2)
         signs = np.random.default_rng(sign_seed).integers(0, 2, size=(samples, len(family))) * 2.0 - 1.0
-    prefix = None if prefix is None else np.asarray(prefix, dtype=float).reshape(len(family)) * family.scales
+    prefix = None if prefix is None else np.asarray(prefix, dtype=float).reshape(len(family))
     if not all(np.isfinite(c).all() for c in (coeffs, prefix) if c is not None):
         raise EvaluationError("coefficients must be finite")  # so a non-finite estimate is an overflow
     pre_q = k + square  # then the prefix sums; the Rademacher quantity comes last
@@ -382,7 +378,7 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
     odd = np.array(family.degrees) % 2
 
     def estimator(theta, w, open_):
-        nonlocal pth_powers, buffer
+        nonlocal pth_powers
         sym = w[0] + w[1] if w.ndim == 2 else w  # w = (each node's weight, its mirror's) if folded
         mixed = w.ndim == 2 and 0 < odd.sum() < len(odd)  # then each sum is stacked as (e; o)
         split = (lambda a: np.concatenate([a * (1 - odd), a * odd])) if mixed else (lambda a: a)
@@ -393,34 +389,32 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
             e, o = np.split(v, 2)
             return np.abs(e + o) ** p @ w[0][block] + np.abs(e - o) ** p @ w[1][block]
 
-        reduce = None
-        if prefix is not None and pre_q in open_:
-            buffer, acc = np.empty((len(family), _BLOCK)) if buffer is None else buffer, np.zeros(len(family))
-
-            def reduce(block, rows):  # rows[i] = c_i f_i: prefix sums (e + o) and |.|^p in place
+        x, cs = np.cos(theta), split(coeffs[[q for q in open_ if q < k]])
+        comb, sq = np.zeros((len(cs), x.size)), np.zeros(x.size) if square and k in open_ else None
+        pre, rad = prefix is not None and pre_q in open_, rad_q in open_
+        acc, sums = np.zeros(len(family)), None
+        if rad:
+            eps, pth_powers = split(signs), np.zeros(len(signs))  # the bootstrap reads the last level's
+        for block, rows in _family_pass(family, x, cs, comb, sq, pre or rad):
+            if rad:  # eps @ rows, summed over the block as |.|^p
+                sums = np.empty((len(eps), rows.shape[1])) if sums is None else sums
+                v = np.matmul(eps, rows, out=sums[:, : rows.shape[1]])
+                pth_powers += pth(v, block) if mixed else np.power(np.abs(v, out=v), p, out=v) @ sym[block]
+            if pre:  # rows[i] = c_i f_i, then the prefix sums (e + o) and |.|^p in place
+                rows *= prefix[:, None]
                 run, t = np.zeros((2, rows.shape[1])), np.empty(rows.shape[1])
                 for i, row in enumerate(rows):
                     run[odd[i]] += row
                     np.add(*run, out=row)
                     if mixed:
                         acc[i] += np.power(np.abs(np.subtract(*run, out=t), out=t), p, out=t) @ w[1][block]
-                acc[:] += np.power(np.abs(rows, out=rows), p, out=rows) @ (w[0] if mixed else sym)[block]
-
-        pth_powers = np.zeros(len(signs)) if rad_q in open_ else pth_powers  # the bootstrap reads the last
-
-        def sums(block, eps_rows):  # eps_rows[i] = signs[i] @ rows, summed over the block as |.|^p
-            pth_powers[:] += (pth(eps_rows, block) if mixed else
-                              np.power(np.abs(eps_rows, out=eps_rows), p, out=eps_rows) @ sym[block])
-
-        comb, sq = _family_pass(family, np.cos(theta), split(coeffs[[q for q in open_ if q < k]]),
-                                square and k in open_, (split(signs), sums) if rad_q in open_ else None,
-                                reduce and (prefix, buffer, reduce))
+                acc += np.power(np.abs(rows, out=rows), p, out=rows) @ (w[0] if mixed else sym)[block]
         out = [v ** (1.0 / p) for v in pth(comb)]
         if sq is not None:
             out.append(np.dot(sym, sq ** (p / 2.0)) ** (1.0 / p))
-        if reduce is not None:
+        if pre:
             out.append(acc ** (1.0 / p))
-        if rad_q in open_:
+        if rad:
             out.append(float(np.mean(pth_powers)) ** (1.0 / p))
         return out
 
@@ -432,7 +426,8 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
         if square:
             values.append(math.sqrt(np.sum((family.scales * inv_d) ** 2)))
         if prefix is not None:
-            values.append(np.sqrt(np.sum(np.cumsum(prefix[:, None] * to_degree, axis=0) ** 2, axis=1)))
+            partial = np.cumsum((prefix * family.scales)[:, None] * to_degree, axis=0)
+            values.append(np.sqrt(np.sum(partial ** 2, axis=1)))
         if signs is not None:
             pth_powers = parseval(signs * family.scales)
             values.append(float(np.mean(pth_powers)) ** 0.5)
@@ -456,17 +451,15 @@ def family_norms(family, params: JacobiParams, p: float, tol: float = 1e-8, comb
 
 def square_function_norm(
     family,
-    params: JacobiParams,
     p: float,
     tol: float = 1e-8,
 ) -> float:
     """|| (sum_j |f_j|^2)^{1/2} ||_{Lp(mu)} of a greedy.JacobiFamily, by family_norms."""
-    return family_norms(family, params, p, tol, square=True)[1]
+    return family_norms(family, p, tol, square=True)[1]
 
 
 def rademacher_average_norm(
     family,
-    params: JacobiParams,
     p: float,
     samples: int = 64,
     seed: int = 0,
@@ -474,7 +467,7 @@ def rademacher_average_norm(
 ) -> tuple[float, float]:
     """(Monte-Carlo estimate of ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}, its bootstrap
     standard error), by family_norms; the signs are deterministic for a given seed."""
-    return family_norms(family, params, p, tol, samples=samples, seed=seed)[2]
+    return family_norms(family, p, tol, samples=samples, seed=seed)[2]
 
 
 def lp_norms_of_rows(
@@ -489,8 +482,8 @@ def lp_norms_of_rows(
     degree is the highest polynomial degree in the rows, as for lp_norm;
     rows_fn sees one block of _BLOCK mesh points at a time.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
 
     def estimator(theta, w, open_):
         x, total = np.cos(theta), 0.0

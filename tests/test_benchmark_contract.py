@@ -47,8 +47,8 @@ quadrature.gauss_jacobi_rule(leg, 4)
 quadrature.lp_norm(lambda t: t, leg, 3.0, degree=1)
 quadrature.lp_norms_of_rows(lambda t: np.stack([t, t * t]), leg, 3.0, degree=2)
 fam = greedy.JacobiFamily(leg, sq, (2, 4))
-quadrature.square_function_norm(fam, leg, 3.0)
-quadrature.rademacher_average_norm(fam, leg, 3.0, samples=4)
+quadrature.square_function_norm(fam, 3.0)
+quadrature.rademacher_average_norm(fam, 3.0, samples=4)
 jg.quasi_greedy_ratio(jg.Expansion(leg, sq, {1: 1.0, 4: -0.5}), 3.0, tol=1e-6)
 jg.democracy_scan(leg, sq, 2, 3.0, tol=1e-6, seed=1)
 experiments.average_block_experiment(

@@ -146,7 +146,7 @@ def test_quantities_split_across_blocks(monkeypatch):
     params, p, tol = JacobiParams(0.5, 0.0), 3.0, 1e-6
     fam = JacobiFamily(params, SQRT, staggered_block(16))
     eps = np.where(np.arange(16) % 3, 1.0, -1.0)
-    combos, square, rademacher, _ = family_norms(fam, params, p, tol, (np.ones(16), eps), square=True,
+    combos, square, rademacher, _ = family_norms(fam, p, tol, (np.ones(16), eps), square=True,
                                                  samples=8, seed=4)
     assert combos == (oracle_combination_norm(fam, np.ones(16), p, tol),
                       oracle_combination_norm(fam, eps, p, tol))
@@ -167,7 +167,7 @@ def test_sign_sums_reduced_across_blocks(monkeypatch, ab, degrees):
     # p-th powers add in another order: equal to rounding, set at 1e-14
     params, p, tol = JacobiParams(*ab), 3.0, 1e-6
     fam = JacobiFamily(params, SQRT, degrees)
-    run = lambda: family_norms(fam, params, p, tol, samples=16, seed=3)[2]
+    run = lambda: family_norms(fam, p, tol, samples=16, seed=3)[2]
     whole_mean, whole_err = run()
     monkeypatch.setattr(quadrature, "_BLOCK", 1024)
     passes, family_pass, jacobi_iter = [], quadrature._family_pass, quadrature.jacobi_iter
@@ -179,6 +179,24 @@ def test_sign_sums_reduced_across_blocks(monkeypatch, ab, degrees):
     assert max(max(blocks) for blocks in passes) == 819
     assert mean == pytest.approx(whole_mean, rel=1e-14, abs=0.0)
     assert abs(err - whole_err) <= 1e-13 * whole_mean
+
+
+@pytest.mark.parametrize("ab", [(0.0, 0.0), (0.5, 0.0)])  # both parities folded; the whole mesh
+def test_prefix_sums_take_row_bounded_blocks(monkeypatch, ab):
+    # the prefix sums hold every row, as the sign sums do, so 160 rows in _BLOCK = 1024 take
+    # blocks of 128 * 1024 // 160 = 819 points; unpatched, every mesh is one block. The
+    # integrals of |.|^p add in another order: equal to rounding, set at 1e-14
+    params, p, tol = JacobiParams(*ab), 3.0, 1e-6
+    rng = np.random.default_rng(5)
+    fam, c = JacobiFamily(params, SQRT, rng.permutation(np.arange(160, 320))), rng.standard_normal(160)
+    whole = family_norms(fam, p, tol, prefix=c)[3]
+    monkeypatch.setattr(quadrature, "_BLOCK", 1024)
+    blocks, jacobi_iter = [], quadrature.jacobi_iter
+    monkeypatch.setattr(quadrature, "jacobi_iter",
+                        lambda params, x, nmax: blocks.append(x.size) or jacobi_iter(params, x, nmax))
+    got = family_norms(fam, p, tol, prefix=c)[3]
+    assert len(blocks) >= 6 and max(blocks) == 819
+    np.testing.assert_allclose(got, whole, rtol=1e-14, atol=0.0)
 
 
 def test_row_norms_summed_across_blocks(monkeypatch):
@@ -208,7 +226,7 @@ def test_greedy_prefix_norms_match_each_partial_sum(monkeypatch, ab, p):
     order = greedy_ordering(e)
     assert len({j % 2 for j in order}) == 2
     fam = JacobiFamily(params, SQRT, order)
-    got = family_norms(fam, params, p, tol, prefix=[e.coeffs[j] for j in order])[3]
+    got = family_norms(fam, p, tol, prefix=[e.coeffs[j] for j in order])[3]
     partial = [greedy_approx(e, m) for m in range(1, len(order) + 1)]
     want = oracle_converge(
         lambda th, w: np.array([np.dot(w, np.abs(g.evaluate(np.cos(th))) ** p) for g in partial]) ** (1 / p),
@@ -259,7 +277,7 @@ from jacobigreedy.quadrature import family_norms
 params = jg.JacobiParams(0.5, 0.0)
 fam = jg.JacobiFamily(params, jg.NormalizationMode.sqrt_scaled(), staggered_block(512))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-mean, err = family_norms(fam, params, 2.5, 1e-6, samples=256)[2]
+mean, err = family_norms(fam, 2.5, 1e-6, samples=256)[2]
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(mean, (after - before) / 1024)  # ru_maxrss is in KiB
 """

@@ -216,6 +216,13 @@ class TestBasisScales:
         got = basis_scales(params, NormalizationMode.lp_normalized(2.0), degrees)
         assert np.array_equal(got, basis_scales(params, ON, degrees))
 
+    @pytest.mark.parametrize("degrees", [(-1, 2), (3, -2), ()])
+    def test_family_rejects_negative_or_empty_degrees(self, degrees):
+        # as Expansion does: a negative degree was dropped from some norms and read as an
+        # unwritten row by others, and an empty family failed only off p = 2
+        with pytest.raises(ValueError, match="degrees"):
+            JacobiFamily(LEG, SQ, degrees)
+
 
 class TestExpansionNorm:
     def test_p2_parseval(self):

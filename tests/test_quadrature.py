@@ -178,6 +178,17 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(lambda x: x, LEG, 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda p: family_norms(JacobiFamily(LEG, NormalizationMode.sqrt_scaled(), (2,)), p, combos=([1.0],)),
+        lambda p: lp_norms_of_rows(lambda x: x[None], LEG, p, degree=1),
+        lambda p: lp_norm_between_zeros(lambda x: x, LEG, p, np.array([0.0])),
+    ], ids=["family_norms", "lp_norms_of_rows", "lp_norm_between_zeros"])
+    def test_rejects_non_finite_p(self, entry, p):
+        # not a number, nor a false overflow: at p = inf the family norm was 1.0, at nan an EvaluationError
+        with pytest.raises(ValueError, match="p must be finite"):
+            entry(p)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_is_one_row_of_lp_norms_of_rows(self, p):
         params = JacobiParams(0.5, 0.0)
@@ -190,26 +201,26 @@ class TestLpNorm:
 class TestSquareFunctionNorm:
     def test_single_orthonormal_element(self):
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), (0,))
-        assert square_function_norm(fam, LEG, 2.0) == pytest.approx(1.0, abs=1e-9)
+        assert square_function_norm(fam, 2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_family(self):
         # the sqrt-scaled element of degree 0 is the constant 1
         fam = JacobiFamily(LEG, NormalizationMode.sqrt_scaled(), (0,))
-        v = square_function_norm(fam, LEG, 3.0)
+        v = square_function_norm(fam, 3.0)
         assert v == pytest.approx(total_mass(LEG) ** (1 / 3), rel=1e-9)
 
     def test_orthonormal_block_scales_like_sqrt_N(self):
         ratios = []
         for N in (4, 16, 64):
             fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), range(N, 3 * N, 2))
-            ratios.append(square_function_norm(fam, LEG, 3.0) / math.sqrt(N))
+            ratios.append(square_function_norm(fam, 3.0) / math.sqrt(N))
         assert max(ratios) / min(ratios) < 1.5
 
 
 class TestRademacherAverage:
     def test_singleton_sign_irrelevant(self):
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), (7,))
-        m1, _ = rademacher_average_norm(fam, LEG, 3.0, samples=4, seed=1)
+        m1, _ = rademacher_average_norm(fam, 3.0, samples=4, seed=1)
         direct = lp_norm(lambda x: fam.values(x)[0], LEG, 3.0, degree=7)
         assert m1 == pytest.approx(direct, rel=1e-10)
 
@@ -217,20 +228,20 @@ class TestRademacherAverage:
     def test_p2_orthonormal_is_sqrt_N(self, seed):
         N = 12
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), range(N))
-        mean, _ = rademacher_average_norm(fam, LEG, 2.0, samples=8, seed=seed)
+        mean, _ = rademacher_average_norm(fam, 2.0, samples=8, seed=seed)
         assert mean == pytest.approx(math.sqrt(N), abs=1e-6)
 
     def test_deterministic_given_seed(self):
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), (1, 4, 9))
-        a = rademacher_average_norm(fam, LEG, 3.0, samples=16, seed=42)
-        b = rademacher_average_norm(fam, LEG, 3.0, samples=16, seed=42)
+        a = rademacher_average_norm(fam, 3.0, samples=16, seed=42)
+        b = rademacher_average_norm(fam, 3.0, samples=16, seed=42)
         assert a == b
 
     def test_comparable_to_square_function(self):
         N = 16
         fam = JacobiFamily(LEG, NormalizationMode.orthonormal(), range(N, 3 * N, 2))
-        mean, _ = rademacher_average_norm(fam, LEG, 3.0, samples=32, seed=3)
-        sq = square_function_norm(fam, LEG, 3.0)
+        mean, _ = rademacher_average_norm(fam, 3.0, samples=32, seed=3)
+        sq = square_function_norm(fam, 3.0)
         assert 0.5 < mean / sq < 2.0
 
 
@@ -397,7 +408,7 @@ class TestEvenFold:
         combos = (np.ones(len(degrees)), np.where(np.arange(len(degrees)) % 3, 1.0, -1.0))
         # tol is the CLI's default: at p = 1 the mesh reaches no closer than ~4e-7 (|f| has kinks)
         prefix = np.linspace(2.0, -1.0, len(degrees))
-        run = lambda: family_norms(fam, params, p, 1e-6, combos, square=True, samples=4, seed=5, prefix=prefix)
+        run = lambda: family_norms(fam, p, 1e-6, combos, square=True, samples=4, seed=5, prefix=prefix)
         (c1, c2), square, (mean, err), partial = run()
         full_mesh(monkeypatch)
         sizes = mesh_passes(monkeypatch)
@@ -418,7 +429,7 @@ class TestEvenFold:
         params = JacobiParams(*ab)
         fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
         sizes = mesh_passes(monkeypatch)
-        family_norms(fam, params, 3.0, 1e-6, (np.ones(len(degrees)),), square=True, samples=4)
+        family_norms(fam, 3.0, 1e-6, (np.ones(len(degrees)),), square=True, samples=4)
         assert len(sizes) >= 2
         assert all(seen == [size // 2 if folded else size] for size, *seen in sizes)
 
@@ -434,7 +445,7 @@ class TestEvenFold:
             fam = JacobiFamily(params, NormalizationMode.sqrt_scaled(), degrees)
             c = np.array([1.0, -2.0, 0.5, 3.0, -1.0][: len(degrees)])
             samples, seed = 6, 9
-            (combo,), square, (mean, err), partial = family_norms(fam, params, 2.0, combos=(c,), square=True,
+            (combo,), square, (mean, err), partial = family_norms(fam, 2.0, combos=(c,), square=True,
                                                                   samples=samples, seed=seed, prefix=c)
             # || sum_j a_j P_{d_j} ||_2^2 = sum_n (sum_{d_j = n} a_j)^2 / d_n^2
             def parseval(a):
