@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .jacobi import (
     JacobiParams,
@@ -22,21 +21,33 @@ from .jacobi import (
     eval_P,
     eval_P_many,
     jacobi_combination,
-    jacobi_matrix,
+    jacobi_zeros,
     orthonormal_const,
 )
 from .quadrature import family_norms, lp_norm_between_zeros, total_mass
+
+
+def _degree(j) -> int:
+    """j as an int degree: numpy integers and integral floats such as 2.0 pass; any other value
+    (1.5, nan, inf) raises ValueError naming it, where int() would truncate it to another degree."""
+    try:
+        if (d := int(j)) == j:
+            return d
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"degree {j!r} is not an integer")
 
 
 @lru_cache(maxsize=4096)
 def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
     """||p_n||_{Lp(mu)}, cached; backend for the Lp-normalized mode. Exactly 1 at p = 2.
 
-    p_0 = d_0 is constant, so ||p_0||_p = d_0 mass^{1/p}. For n >= 1 the zeros
-    of P_n are the eigenvalues of its Jacobi matrix, and the panels between
-    them (quadrature.lp_norm_between_zeros) give the norm to 1e-12 relative
-    up to n = 256; at n = 2048, 1e-10, the rounding of x = cos(theta) near
-    the ends.
+    p_0 = d_0 is constant, so ||p_0||_p = d_0 mass^{1/p}. For n >= 1 the panels
+    between the zeros of P_n (jacobi.jacobi_zeros, solved once for every p;
+    quadrature.lp_norm_between_zeros) give the norm to 1e-12 relative up to
+    n = 256; at n = 2048, 1e-10 (3e-11 at alpha = beta), the rounding of
+    x = cos(theta) near the ends. Measured at p = 4 and 6 against exact Gauss
+    rules, for alpha and beta from -0.45 to 150.
     """
     if p == 2.0:
         return 1.0
@@ -44,8 +55,8 @@ def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
     dn = orthonormal_const(params, n)
     if n == 0:
         return dn * total_mass(params) ** (1.0 / p)
-    zeros = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
-    return lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, p, zeros, even=alpha == beta)
+    return lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, p, jacobi_zeros(params, n),
+                                 even=alpha == beta)
 
 
 def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]) -> np.ndarray:
@@ -72,7 +83,7 @@ class JacobiFamily:
     def __init__(self, params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]):
         self.params = params
         self.mode = mode
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(_degree(d) for d in degrees)
         if not self.degrees or min(self.degrees) < 0:
             raise ValueError("degrees must be nonempty and >= 0")
         self.scales = basis_scales(params, mode, self.degrees)
@@ -94,7 +105,7 @@ class Expansion:
     coeffs: Mapping[int, float]
 
     def __post_init__(self):
-        clean = {int(j): float(c) for j, c in self.coeffs.items() if c != 0.0}
+        clean = {_degree(j): float(c) for j, c in self.coeffs.items() if c != 0.0}
         if any(j < 0 for j in clean):
             raise ValueError("basis indices must be >= 0")
         object.__setattr__(self, "coeffs", clean)
@@ -162,7 +173,7 @@ def sign_ratio(
 ) -> float:
     """|| sum_{j in A} eps_j x_j ||_p / || sum_{j in A} x_j ||_p, both from one family_norms call;
     signs is a sequence paired with A in its given order, or a mapping read at each j in A."""
-    A = [int(j) for j in A]
+    A = [_degree(j) for j in A]
     if not A or len(set(A)) < len(A):
         raise ValueError("A must be nonempty, with no repeated index")
     if isinstance(signs, Mapping):

@@ -8,16 +8,20 @@ One kernel, jacobi_iter, runs the recurrence in three in-place buffers that
 each step overwrites; every evaluator feeds it blocks of at most _BLOCK points.
 Each step is P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, with the three
 coefficient ratios taken once as scalars, so no step divides a vector.
-largest_root is the top eigenvalue of the Jacobi matrix (Golub-Welsch).
+The zeros of P_n are the eigenvalues of the Jacobi matrix (Golub-Welsch):
+jacobi_zeros gives all of them, cached per weight and degree, from a
+half-size eigenproblem at alpha = beta; largest_root gives only the top one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 
 class DomainError(ValueError):
@@ -268,10 +272,39 @@ def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]
     return diag, np.sqrt(off2)
 
 
-def largest_root(params: JacobiParams, n: int) -> float:
-    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): top eigenvalue of the Jacobi matrix."""
-    from scipy.linalg import eigh_tridiagonal  # already loaded by quadrature
+@lru_cache(maxsize=64)
+def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
+    """The n zeros of P_n in ascending order, cached per (params, n) and read-only, as callers share them.
 
+    At alpha != beta, the eigenvalues of the n x n Jacobi matrix J. At alpha = beta the diagonal of J
+    is 0, so J^2 splits into a tridiagonal block on the even indices and one on the odd indices; the
+    odd one, of size n // 2, holds each x_k^2 of a zero x_k > 0 once (the even one also holds 0 at odd
+    n). So x_k = sqrt(lambda_k), mirrored, with an exact 0 in the middle at odd n. The root magnifies
+    the rounding of lambda by 1/(2x), and near +-1 a zero one ulp off moves ||p_n||_p by 1e-12 (n = 1024),
+    so one Newton step on P_n follows at every x_k, by (1 - x^2) P_n' = (n + alpha) P_{n-1} - n x P_n,
+    kept wherever it is finite; it costs n steps of jacobi_iter on n // 2 points.
+    """
+    diag, off = jacobi_matrix(params, n)
+    if params.alpha != params.beta or n == 1:
+        zeros = eigh_tridiagonal(diag, off, eigvals_only=True)
+    else:
+        sq, m = off * off, n // 2
+        block = sq[0 : 2 * m : 2]  # (J^2)_{ii} = off[i-1]^2 + off[i]^2 at odd i
+        block[: (n - 1) // 2] += sq[1 : n - 1 : 2]
+        x = np.sqrt(eigh_tridiagonal(block, off[1 : 2 * m - 1 : 2] * off[2 : 2 * m : 2], eigvals_only=True))
+        with np.errstate(all="ignore"):
+            for k, pk in jacobi_iter(params, x, n):
+                if k == n - 1:
+                    prev = pk.copy()
+            newton = x - pk * (1.0 - x * x) / ((n + params.alpha) * prev - n * x * pk)
+        x = np.where(np.isfinite(newton), newton, x)
+        zeros = np.concatenate([-x[::-1], np.zeros(n % 2), x])
+    zeros.flags.writeable = False
+    return zeros
+
+
+def largest_root(params: JacobiParams, n: int) -> float:
+    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): top eigenvalue of the Jacobi matrix, O(n)."""
     diag, off = jacobi_matrix(params, n)
     top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(n - 1, n - 1))
     return float(top[0])

@@ -41,10 +41,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln
 
-from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix, orthonormal_const
+from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix, jacobi_zeros, orthonormal_const
 
 
 class ConvergenceError(RuntimeError):
@@ -80,15 +79,17 @@ class QuadratureRule:
 def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     """m-point Gauss rule, exact for polynomials of degree <= 2m - 1.
 
-    Nodes are eigenvalues of the Jacobi matrix (jacobi.jacobi_matrix);
-    weights are the Christoffel numbers 1 / sum_{k<m} p_k(x)^2 of its
-    orthonormal recurrence. Unlike squared eigenvector components, they stay
-    accurate relative to their own size when tiny, as at large exponents.
-    A sum that overflows (to inf, or to nan once two p_k have) stands for a
-    weight below the smallest double, which becomes 0.
+    Nodes are the zeros of P_m from jacobi.jacobi_zeros (eigenvalues of the
+    Jacobi matrix; at alpha = beta, a half-size problem and a Newton step),
+    a cached read-only array; weights are the Christoffel numbers
+    1 / sum_{k<m} p_k(x)^2 of its orthonormal recurrence. Unlike squared
+    eigenvector components, they stay accurate relative to their own size
+    when tiny, as at large exponents. A sum that overflows (to inf, or to
+    nan once two p_k have) stands for a weight below the smallest double,
+    which becomes 0.
     """
     diag, off = jacobi_matrix(params, m)
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = jacobi_zeros(params, m)
     p_prev = np.zeros(m)
     p_cur = np.full(m, total_mass(params) ** -0.5)
     christoffel = p_cur * p_cur

@@ -19,7 +19,10 @@ Regenerate the stored files, only for an intended change of numbers, with
     PYTHONPATH=src python tests/test_golden.py
 
 which leaves the PARSEVAL cases' reference files as they are, and every
-file that still passes its case's comparison.
+file that still passes its case's comparison. It prints each file it
+rewrites with the largest change of a number against the stored copy:
+relative, or absolute for fitted quantities ("inf" if anything but a
+number changed).
 """
 
 import csv
@@ -132,6 +135,57 @@ def test_api_golden():
     assert _json_mismatches(api_case(), json.loads(API_CASE.read_text())) == []
 
 
+def _leaves(text: str, name: str) -> list:
+    """(key, value) for each cell of a CSV file (key None), or each key list and value of a JSON file."""
+    if name.endswith(".csv"):
+        return [(None, cell) for row in csv.reader(text.splitlines()) for cell in row]
+
+    def walk(v, key=None):
+        if isinstance(v, dict):
+            yield None, sorted(v)
+            for k in sorted(v):
+                yield from walk(v[k], k)
+        elif isinstance(v, list):
+            for item in v:
+                yield from walk(item, key)
+        else:
+            yield key, v
+
+    return list(walk(json.loads(text)))
+
+
+def largest_change(got: str, want: str, name: str) -> float:
+    """Largest change of a number from the stored file `want` to `got`, relative, or absolute for
+    fitted quantities, as the comparison of test_golden's PARSEVAL cases takes it; inf if anything
+    but a number differs."""
+    got_leaves, want_leaves = _leaves(got, name), _leaves(want, name)
+    if len(got_leaves) != len(want_leaves):
+        return math.inf
+    worst = 0.0
+    for (key, g), (want_key, w) in zip(got_leaves, want_leaves):
+        if key != want_key:
+            return math.inf
+        if g == w:
+            continue
+        try:
+            g, w = float(g), float(w)
+        except (TypeError, ValueError):
+            return math.inf
+        scale = 1.0 if key in ABSOLUTE_KEYS else abs(w)
+        worst = max(worst, abs(g - w) / scale if scale else math.inf)
+    return worst
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    """Write a stored file, printing its largest change against the stored copy."""
+    if path.exists():
+        change = f"{largest_change(data.decode(), path.read_text(), path.name):.1e}"
+    else:
+        change = "new file"
+    print(f"{path.relative_to(GOLDEN)}: largest change {change}")
+    path.write_bytes(data)
+
+
 def regenerate() -> None:
     """Rewrite the stored files that fail their test's comparison, of every case but the PARSEVAL ones.
 
@@ -154,11 +208,11 @@ def regenerate() -> None:
             for name in keep:
                 got = (out / name).read_bytes()
                 if not (stored / name).exists() or (stored / name).read_bytes() != got:
-                    (stored / name).write_bytes(got)
+                    _rewrite(stored / name, got)
     got = api_case()
     if not API_CASE.exists() or _json_mismatches(got, json.loads(API_CASE.read_text())):
         API_CASE.parent.mkdir(exist_ok=True)
-        API_CASE.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        _rewrite(API_CASE, (json.dumps(got, indent=2, sort_keys=True) + "\n").encode())
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -222,6 +223,26 @@ class TestBasisScales:
         # unwritten row by others, and an empty family failed only off p = 2
         with pytest.raises(ValueError, match="degrees"):
             JacobiFamily(LEG, SQ, degrees)
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, np.float64(2.5)])
+    def test_non_integral_degrees_raise(self, bad):
+        # int() truncated them to another basis element: degrees (1.5, 2) became (1, 2)
+        for make in (
+            lambda: JacobiFamily(LEG, SQ, [bad, 2]),
+            lambda: Expansion(LEG, SQ, {bad: 1.0, 2: 2.0}),
+            lambda: sign_ratio(LEG, SQ, [bad, 2], [1, -1], 3.0),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"degree {bad!r} is not an integer")):
+                make()
+
+    def test_integral_degrees_of_any_type_pass(self):
+        degrees = [np.int64(3), 2.0, np.float64(5.0), 7]
+        assert JacobiFamily(LEG, SQ, degrees).degrees == (3, 2, 5, 7)
+        assert all(type(d) is int for d in JacobiFamily(LEG, SQ, degrees).degrees)
+        assert Expansion(LEG, SQ, dict.fromkeys(degrees, 1.0)).support == (2, 3, 5, 7)
+        assert sign_ratio(LEG, SQ, degrees, [1, -1, 1, -1], 3.0, tol=1e-6) == sign_ratio(
+            LEG, SQ, [3, 2, 5, 7], [1, -1, 1, -1], 3.0, tol=1e-6
+        )
 
 
 class TestExpansionNorm:

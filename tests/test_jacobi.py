@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import strategies as st
 
 from jacobigreedy import jacobi
@@ -16,6 +17,8 @@ from jacobigreedy.jacobi import (
     eval_P,
     eval_P_many,
     jacobi_combination,
+    jacobi_matrix,
+    jacobi_zeros,
     largest_root,
     near_one_ratio_range,
     near_one_window,
@@ -321,3 +324,61 @@ class TestLargestRoot:
         z1 = largest_root(LEG, 100)
         z2 = largest_root(LEG, 200)
         assert (1 - z2) / (1 - z1) == pytest.approx(0.25, rel=0.05)
+
+
+def mp_zero(params, n, x, steps=3):
+    """A zero of P_n near x, by Newton steps on mpmath's recurrence at 50 digits (alpha = beta)."""
+    a = mpmath.mpf(params.alpha)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        for _ in range(steps):
+            prev, cur = mpmath.mpf(1), (a + 1) * x
+            for k in range(2, n + 1):
+                s = 2 * k + 2 * a
+                prev, cur = cur, ((s - 1) * s * (s - 2) * x * cur - 2 * (k + a - 1) ** 2 * s * prev) / (
+                    2 * k * (k + 2 * a) * (s - 2)
+                )
+            x -= cur * (1 - x * x) / ((n + a) * prev - n * x * cur)
+        return float(x)
+
+
+class TestJacobiZeros:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 1024, 1025, 4096])
+    @pytest.mark.parametrize("a", [-0.9, -0.45, 0.0, 0.5, 3.0, 150.0])
+    def test_even_weight_matches_full_solve(self, a, n):
+        params = JacobiParams(a, a)
+        zeros = jacobi_zeros(params, n)
+        full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
+        assert np.all(np.diff(zeros) > 0)
+        assert np.array_equal(zeros, -zeros[::-1])  # exact mirror symmetry
+        if n % 2:
+            assert zeros[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1025])
+    @pytest.mark.parametrize("ab", [(0.5, 0.0), (-0.45, 3.0), (150.0, 0.0)])
+    def test_uneven_weight_is_the_full_solve(self, ab, n):
+        params = JacobiParams(*ab)
+        assert np.array_equal(jacobi_zeros(params, n), eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True))
+
+    @pytest.mark.parametrize("a", [0.0, 3.0, 150.0])
+    def test_largest_zeros_match_mpmath(self, a):
+        # the full solve is up to 5.7e-15 off here at alpha = 150; each Newton-stepped zero is within 2 ulp
+        params, n = JacobiParams(a, a), 1024
+        top = jacobi_zeros(params, n)[-3:]
+        want = [mp_zero(params, n, z) for z in top]
+        np.testing.assert_allclose(top, want, rtol=0.0, atol=2.3e-16)
+
+    def test_cached_and_read_only(self):
+        params = JacobiParams(0.25, 0.25)
+        zeros = jacobi_zeros(params, 9)
+        assert jacobi_zeros(params, 9) is zeros
+        assert not zeros.flags.writeable
+        with pytest.raises(ValueError):
+            zeros[0] = 0.0
+        assert not jacobi_zeros(JacobiParams(0.25, 0.0), 9).flags.writeable
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_degree_below_one_raises(self, n):
+        with pytest.raises(DomainError):
+            jacobi_zeros(LEG, n)

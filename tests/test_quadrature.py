@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 import mpmath
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi
+from scipy.special import betaln, eval_jacobi, gammaln, logsumexp, roots_jacobi
 
-from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P, jacobi_matrix, orthonormal_const
+from jacobigreedy.jacobi import (
+    JacobiParams,
+    NormalizationMode,
+    eval_P,
+    eval_P_many,
+    jacobi_matrix,
+    jacobi_zeros,
+    orthonormal_const,
+)
 from jacobigreedy.greedy import JacobiFamily, _orthonormal_lp_norm
 from jacobigreedy.quadrature import (
     ConvergenceError,
@@ -313,6 +321,34 @@ class TestNormBetweenZeros:
         exact = top * float(np.dot(rule.weights, (vals / top) ** p)) ** (1 / p)
         assert _orthonormal_lp_norm(0.0, 150.0, float(p), n) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_large_even_weight_matches_exact_rule_in_logs(self, p):
+        # at alpha = beta = 150 the Gauss weights near +-1 underflow, so the exact rule for |p_n|^p
+        # (p n / 2 + 1 nodes) is summed in logs: nodes from the full Jacobi-matrix solve with two
+        # Newton steps, weights 1 / sum_k p_k(x)^2 with the sum rescaled as it grows. With the
+        # unpolished full-solve zeros (up to 5.7e-15 off near +-1) the norm was 2.7e-11 off.
+        a, n = 150.0, 1024
+        params, m = JacobiParams(a, a), p * n // 2 + 1
+        diag, off = jacobi_matrix(params, m)
+        x = eigh_tridiagonal(diag, off, eigvals_only=True)
+        for _ in range(2):  # (1 - x^2) P_m' = (m + a) P_{m-1} - m x P_m at alpha = beta
+            prev, cur = eval_P_many(params, [m - 1, m], x)
+            x = x - cur * (1 - x * x) / ((m + a) * prev - m * x * cur)
+        p_prev, p_cur = np.zeros(m), np.full(m, total_mass(params) ** -0.5)
+        christoffel, log_scale = p_cur**2, np.zeros(m)
+        for k in range(m - 1):
+            p_prev, p_cur = p_cur, ((x - diag[k]) * p_cur - (off[k - 1] * p_prev if k else 0.0)) / off[k]
+            christoffel += p_cur**2
+            big = np.abs(p_cur) > 1e100
+            scale = np.abs(p_cur[big])
+            p_cur[big] /= scale
+            p_prev[big] /= scale
+            christoffel[big] /= scale**2
+            log_scale[big] += 2.0 * np.log(scale)
+        log_f = math.log(orthonormal_const(params, n)) + np.log(np.abs(eval_P(params, n, x)))
+        exact = math.exp(logsumexp(p * log_f - np.log(christoffel) - log_scale) / p)
+        assert _orthonormal_lp_norm(a, a, float(p), n) == pytest.approx(exact, rel=1e-12)
+
     def test_unsettled_end_panels_raise(self, monkeypatch):
         import jacobigreedy.quadrature as quadrature
 
@@ -481,7 +517,7 @@ class TestEvenFold:
     def test_folded_norm_between_zeros_matches_unfolded(self, ab, n):
         params = JacobiParams(*ab)
         dn = orthonormal_const(params, n)
-        zeros = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        zeros = jacobi_zeros(params, n)
         points = []
 
         def f(x):
