@@ -8,9 +8,13 @@ One kernel, jacobi_iter, runs the recurrence in three in-place buffers that
 each step overwrites; every evaluator feeds it blocks of at most _BLOCK points.
 Each step is P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, with the three
 coefficient ratios taken once as scalars, so no step divides a vector.
-The zeros of P_n are the eigenvalues of the Jacobi matrix (Golub-Welsch):
-jacobi_zeros gives all of them, cached per weight and degree, from a
-half-size eigenproblem at alpha = beta; largest_root gives only the top one.
+The zeros of P_n, the eigenvalues of the Jacobi matrix, need no eigenvalue
+solver: Newton's method from asymptotic guesses (Hale & Townsend, SIAM J.
+Sci. Comput. 35, 2013) takes its steps from the pivots of J - xI, the ratio
+recurrence of the orthonormal p_k, which cannot overflow, and the same
+pivots give a Sturm count that certifies every zero. jacobi_zeros gives all
+of them, cached per weight and degree (the positive half only at alpha =
+beta); largest_root gives the top one by scalar Newton from above.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 class DomainError(ValueError):
@@ -272,39 +275,181 @@ def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]
     return diag, np.sqrt(off2)
 
 
+def _pivots(diag: list, off2: list, x: np.ndarray, count: bool = False):
+    """Last pivot of the LDL^T factorisation of J - xI at every x, J the len(diag) Jacobi matrix.
+
+    The pivots q_0 = diag[0] - x, q_k = diag[k] - x - off2[k-1] / q_{k-1} are the ratios
+    -off[k] p_{k+1}(x) / p_k(x) of the orthonormal recurrence, so none overflows where P_n would
+    (a zero pivot makes the next -inf and the one after finite again). With count, also the number
+    of negative pivots: by Sylvester's law of inertia, the number of zeros of P_len(diag) below x.
+    """
+    y = -x
+    q = y + diag[0]
+    t = np.empty_like(q)
+    neg = (q < 0).astype(np.intp) if count else None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for d, o in zip(diag[1:], off2):
+            np.divide(o, q, out=t)
+            np.add(y, d, out=q)
+            q -= t
+            if count:
+                neg += q < 0
+    return q, neg
+
+
+def _newton_step(params: JacobiParams, n: int, x, q):
+    """P_n(x) / P_n'(x) from the last pivot q of J_n - xI, as P_n / P_{n-1} = -q k_n / k_{n-1}
+    (k_n the leading coefficient of P_n), and (DLMF 18.9.16)
+    s (1 - x^2) P_n' = n (alpha - beta - s x) P_n + 2 (n + alpha) (n + beta) P_{n-1}, s = 2n + alpha + beta."""
+    a, b = params.alpha, params.beta
+    s = 2.0 * n + a + b
+    ratio = q * (-s * (s - 1.0) / (2.0 * n * (n + a + b)))
+    with np.errstate(all="ignore"):
+        return (1.0 - x) * (1.0 + x) * s * ratio / (n * (a - b - s * x) * ratio + 2.0 * (n + a) * (n + b))
+
+
+def _done(params: JacobiParams, n: int, x, step):
+    """True where a Newton step leaves an error far below rounding: step^2 <= 2^-60 g, g a lower
+    estimate of the spacing of the zeros near x (about pi / rho apart in theta = arccos x)."""
+    h = math.pi / (n + 0.5 * (params.alpha + params.beta + 1.0))
+    gap = 0.5 * h * (np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0)) + h)
+    return np.abs(step) <= 2.0**-30 * np.sqrt(gap)
+
+
+def _zero_guesses(params: JacobiParams, n: int, m: int) -> np.ndarray:
+    """The m largest zeros of P_n by the interior asymptotics (Gatteschi-Pittaluga; Szego 8.9),
+    ascending: theta_k = phi_k + ((1/4 - alpha^2) cot(phi_k/2) - (1/4 - beta^2) tan(phi_k/2)) / (4 rho^2),
+    phi_k = (k + alpha/2 - 1/4) pi / rho, rho = n + (alpha + beta + 1)/2."""
+    a, b = params.alpha, params.beta
+    rho = n + 0.5 * (a + b + 1.0)
+    phi = (np.arange(m, 0, -1) + 0.5 * a - 0.25) * (math.pi / rho)
+    theta = phi + ((0.25 - a * a) / np.tan(0.5 * phi) - (0.25 - b * b) * np.tan(0.5 * phi)) / (4.0 * rho * rho)
+    return np.cos(np.clip(theta, 0.0, math.pi))
+
+
 @lru_cache(maxsize=64)
 def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     """The n zeros of P_n in ascending order, cached per (params, n) and read-only, as callers share them.
 
-    At alpha != beta, the eigenvalues of the n x n Jacobi matrix J. At alpha = beta the diagonal of J
-    is 0, so J^2 splits into a tridiagonal block on the even indices and one on the odd indices; the
-    odd one, of size n // 2, holds each x_k^2 of a zero x_k > 0 once (the even one also holds 0 at odd
-    n). So x_k = sqrt(lambda_k), mirrored, with an exact 0 in the middle at odd n. The root magnifies
-    the rounding of lambda by 1/(2x), and near +-1 a zero one ulp off moves ||p_n||_p by 1e-12 (n = 1024),
-    so one Newton step on P_n follows at every x_k, by (1 - x^2) P_n' = (n + alpha) P_{n-1} - n x P_n,
-    kept wherever it is finite; it costs n steps of jacobi_iter on n // 2 points.
+    Newton's method from the interior asymptotic guesses (_zero_guesses), vectorised over the zeros,
+    each step from the pivot recurrence of the Jacobi matrix (_pivots, _newton_step), O(n) per zero;
+    a zero stops once its step is far below rounding (_done). At alpha = beta only the n // 2 positive
+    zeros are solved and mirrored, with an exact 0 in the middle at odd n. One Sturm count at the
+    midpoints between neighbouring zeros then certifies each: its interval holds exactly one zero of
+    P_n, within (n + 1) |last step| of it (Laguerre: some zero z has |x - z| <= n |P_n / P_n'|). A zero
+    that fails, or whose Newton steps left its range or stopped shrinking, is found again by bisection
+    on the count and Newton (_repair); one that cannot be certified raises RuntimeError.
     """
     diag, off = jacobi_matrix(params, n)
-    if params.alpha != params.beta or n == 1:
-        zeros = eigh_tridiagonal(diag, off, eigvals_only=True)
+    if n == 1:
+        diag.flags.writeable = False
+        return diag
+    even = params.alpha == params.beta
+    m = n // 2 if even else n
+    dl, o2 = diag.tolist(), (off * off).tolist()
+    fence, below = (0.0, n // 2) if even else (-1.0, 0)  # lower end of the solved zeros, zeros under it
+    want = n - m + np.arange(m)  # index of each solved zero among all n
+    x = _zero_guesses(params, n, m)
+    step = np.full(m, np.inf)  # last Newton step of each zero; inf where Newton gave up
+    todo = np.arange(m)
+    while todo.size:
+        xs = x[todo]
+        s = _newton_step(params, n, xs, _pivots(dl, o2, xs)[0])
+        new = xs - s
+        # a step that leaves the range, or is not below half the one before, gives the zero up to _repair;
+        # an end zero may round to -1 or 1 when alpha or beta is near -1
+        ok = (new > fence if even else new >= -1.0) & (new <= 1.0) & ~(np.abs(s) > 0.5 * step[todo])
+        x[todo[ok]] = new[ok]
+        step[todo] = np.where(ok, np.abs(s), np.inf)
+        todo = todo[ok & ~_done(params, n, new, s)]
+    for _ in range(3):  # a repaired zero passes the second count
+        order = np.argsort(x, kind="stable")
+        x, step = x[order], step[order]
+        probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)
+        counts = _pivots(dl, o2, probes, count=True)[1]
+        edges = np.append(probes, np.inf)  # the interval of each zero; no zero lies at or above 1
+        if not even:  # nor at or below -1, where a rounded J may count one when beta is near -1
+            probes[0], counts[0], edges[0] = fence, below, -np.inf
+        bad = (counts != want) | (np.append(counts[1:], n) != want + 1)
+        bad |= ~((n + 1.0) * np.abs(step) < np.minimum(x - edges[:-1], edges[1:] - x))
+        if not bad.any():
+            break
+        # a probe next to a failed zero may lie on a zero, which would hold Newton to bisection there
+        clean = ~bad & np.append(True, ~bad[:-1])
+        x[bad], step[bad] = _repair(params, n, dl, o2, want[bad], np.concatenate([[fence], probes[clean], [1.0]]),
+                                    np.concatenate([[below], counts[clean], [n]]))
     else:
-        sq, m = off * off, n // 2
-        block = sq[0 : 2 * m : 2]  # (J^2)_{ii} = off[i-1]^2 + off[i]^2 at odd i
-        block[: (n - 1) // 2] += sq[1 : n - 1 : 2]
-        x = np.sqrt(eigh_tridiagonal(block, off[1 : 2 * m - 1 : 2] * off[2 : 2 * m : 2], eigvals_only=True))
-        with np.errstate(all="ignore"):
-            for k, pk in jacobi_iter(params, x, n):
-                if k == n - 1:
-                    prev = pk.copy()
-            newton = x - pk * (1.0 - x * x) / ((n + params.alpha) * prev - n * x * pk)
-        x = np.where(np.isfinite(newton), newton, x)
-        zeros = np.concatenate([-x[::-1], np.zeros(n % 2), x])
+        raise RuntimeError(f"zeros of P_{n} at {params} could not be certified")
+    zeros = np.concatenate([-x[::-1], np.zeros(n % 2), x]) if even else x
     zeros.flags.writeable = False
     return zeros
 
 
+def _repair(params: JacobiParams, n: int, dl: list, o2: list, want, points, counts):
+    """The zeros of index `want`, from the probes `points` (ascending, from the fence to 1) and their
+    Sturm counts; returns them and their last steps. Each pass adds one probe per zero: the Newton
+    step from its last probe if the zero is alone between the two probes around it and the step stays
+    between them and is below half the one before, as in jacobi_zeros; else their midpoint, bisecting
+    on the count. So a step that shrinks slowly, as from beyond an end zero, gives way to bisection."""
+    out, step = np.empty(want.size), np.full(want.size, np.inf)
+    todo, new, s, shrank = np.arange(want.size), np.full(want.size, np.nan), np.full(want.size, np.inf), True
+    for _ in range(100):
+        k = np.clip(np.searchsorted(counts, want, side="right"), 1, counts.size - 1)  # clipped against a broken count
+        lo, hi, clo, chi = points[k - 1], points[k], counts[k - 1], counts[k]
+        newton = (clo == want) & (chi == want + 1) & (lo <= new) & (new <= hi) & shrank
+        done = newton & _done(params, n, new, s)
+        out[todo[done]], step[todo[done]] = new[done], s[done]
+        todo, want, new, newton, lo, hi, s = (v[~done] for v in (todo, want, new, newton, lo, hi, s))
+        if not todo.size:
+            return out, step
+        x = np.where(newton, new, 0.5 * (lo + hi))
+        q, c = _pivots(dl, o2, x, count=True)
+        t = _newton_step(params, n, x, q)
+        new, s, shrank = x - t, t, ~(np.abs(t) > 0.5 * np.abs(s))
+        order = np.argsort(np.concatenate([points, x]), kind="stable")
+        points, counts = np.concatenate([points, x])[order], np.concatenate([counts, c])[order]
+    raise RuntimeError(f"zeros of P_{n} at {params} could not be isolated")
+
+
 def largest_root(params: JacobiParams, n: int) -> float:
-    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): top eigenvalue of the Jacobi matrix, O(n)."""
+    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): Newton's method from above, O(n) per step.
+
+    It starts at theta = arccos x = j / rho, j a lower bound of the first zero of the Bessel function
+    J_alpha (the larger of Ismail-Muldoon's sqrt((alpha + 1)(alpha + 5)) and Qu-Wong's
+    alpha + 2.3381 (alpha / 2)^{1/3}), rho = n + (alpha + beta + 1)/2, halving theta until every pivot
+    of J - xI is negative, i.e. x lies above every zero, or x is 1, to which the top zero then rounds.
+    Every zero is real, so P_n is convex above them and the steps fall to the top zero monotonically;
+    each comes from the scalar pivot recurrence.
+    """
     diag, off = jacobi_matrix(params, n)
-    top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(n - 1, n - 1))
-    return float(top[0])
+    if n == 1:
+        return float(diag[0])
+    a, b = params.alpha, params.beta
+    j = max(math.sqrt((a + 1.0) * (a + 5.0)), a + 2.3381 * (max(a, 0.0) / 2.0) ** (1.0 / 3.0))
+    theta = j / (n + 0.5 * (a + b + 1.0))
+    dl, o2 = diag.tolist(), (off * off).tolist()
+    while True:
+        x = math.cos(min(theta, math.pi))
+        q, neg = _pivot(dl, o2, x)
+        if neg == n:
+            break
+        if x == 1.0:  # the top zero rounds to 1 (alpha near -1)
+            return x
+        theta *= 0.5
+    for _ in range(100):
+        s = float(_newton_step(params, n, np.float64(x), q))
+        x -= s
+        if not s > 0.0 or _done(params, n, x, s):
+            return x
+        q = _pivot(dl, o2, x)[0]
+    raise RuntimeError(f"largest root of P_{n} at {params} did not converge")
+
+
+def _pivot(dl: list, o2: list, x: float) -> tuple[float, int]:
+    """_pivots at one x, with its count, in Python floats: the same operations, so the same pivots."""
+    q = dl[0] - x
+    neg = int(q < 0.0)
+    for d, o in zip(dl[1:], o2):
+        q = d - x - (o / q if q else math.inf)
+        neg += q < 0.0
+    return q, neg

@@ -2,8 +2,8 @@
 
 Three integration paths:
 
-* a Gauss rule for the weight (1-x)^alpha (1+x)^beta, built by the
-  symmetric-eigenvalue (Golub-Welsch) method -- exact on polynomials, and
+* a Gauss rule for the weight (1-x)^alpha (1+x)^beta, on the zeros of
+  jacobi.jacobi_zeros with Christoffel weights -- exact on polynomials, and
   so an oracle for the other two paths (p = 2 norms need none:
   family_norms uses Parseval, and builds no mesh);
 * panels between the zeros of a function whose zeros are known, each
@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln
 
 from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix, jacobi_zeros, orthonormal_const
 
@@ -61,7 +60,28 @@ class EvaluationError(ValueError):
 def total_mass(params: JacobiParams) -> float:
     """Integral of d mu = 2^{alpha+beta+1} B(alpha+1, beta+1)."""
     a, b = params.alpha, params.beta
-    return math.exp((a + b + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0))
+    return math.exp((a + b + 1.0) * math.log(2.0) + _log_beta(a + 1.0, b + 1.0))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0. Above 10 the lgamma terms, each up to ~2300, would cancel to a
+    far smaller sum, so there they are split (as in R's lbeta) into closed logarithms and the
+    remainders of Stirling's series, which are small."""
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    corr = _stirling_rest(q) - _stirling_rest(p + q)
+    if p < 10.0:
+        return math.lgamma(p) + corr + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-p / (p + q))
+    return (0.5 * math.log(2.0 * math.pi / q) + _stirling_rest(p) + corr
+            + (p - 0.5) * math.log(p / (p + q)) + q * math.log1p(-p / (p + q)))
+
+
+def _stirling_rest(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2) for x >= 10, by Stirling's series to below 1e-17."""
+    t = 1.0 / (x * x)
+    return (1.0 / 12 - t * (1.0 / 360 - t * (1.0 / 1260 - t * (1.0 / 1680 - t * (1.0 / 1188 - t * (
+        691.0 / 360360 - t * (1.0 / 156 - t * 3617.0 / 122400))))))) / x
 
 
 @dataclass(frozen=True)
@@ -79,9 +99,9 @@ class QuadratureRule:
 def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     """m-point Gauss rule, exact for polynomials of degree <= 2m - 1.
 
-    Nodes are the zeros of P_m from jacobi.jacobi_zeros (eigenvalues of the
-    Jacobi matrix; at alpha = beta, a half-size problem and a Newton step),
-    a cached read-only array; weights are the Christoffel numbers
+    Nodes are the zeros of P_m from jacobi.jacobi_zeros (Newton's method on
+    the pivot recurrence of the Jacobi matrix, each zero certified by a Sturm
+    count), a cached read-only array; weights are the Christoffel numbers
     1 / sum_{k<m} p_k(x)^2 of its orthonormal recurrence. Unlike squared
     eigenvector components, they stay accurate relative to their own size
     when tiny, as at large exponents. A sum that overflows (to inf, or to

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from jacobigreedy.experiments import SlopeFit
 from jacobigreedy.quadrature import ConvergenceError
 
 FAST_WITNESS = ["--N-min", "8", "--N-max", "32", "--samples", "8", "--tol", "1e-5"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -328,3 +332,25 @@ class TestPlotData:
         with pytest.raises(ConvergenceError):
             emit_plot_data(fit, tmp_path / "none.dat")
         assert not (tmp_path / "none.dat").exists()
+
+
+class TestImportPath:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # in a fresh interpreter, the package and three commands on tiny grids load numpy, not scipy
+        script = "\n".join([
+            "import sys",
+            "import jacobigreedy",
+            "from jacobigreedy.cli import main",
+            "out = sys.argv[1]",
+            "assert main(['norms', '--alpha', '1', '--beta', '0.5', '--n-min', '16', '--n-max', '32',"
+            " '--out', out + '/norms']) == 0",
+            "assert main(['near-one', '--n-min', '10', '--n-max', '40', '--out', out + '/near-one']) == 0",
+            "assert main(['witness', '--N-min', '8', '--N-max', '16', '--samples', '4', '--tol', '1e-4',"
+            " '--out', out + '/witness']) == 0",
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

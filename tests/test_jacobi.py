@@ -320,6 +320,22 @@ class TestLargestRoot:
         h = 1e-6 / n**2
         assert eval_P(params, n, z - h) < 0 < eval_P(params, n, min(z + h, 1.0))
 
+    @pytest.mark.parametrize("n", [10, 640, 2560])
+    @pytest.mark.parametrize("ab", [(150.0, 0.0), (0.0, 150.0)])
+    def test_extreme_weight_matches_zeros_and_mpmath(self, ab, n):
+        params = JacobiParams(*ab)
+        z = largest_root(params, n)
+        want = mp_zero_ab(params, n, z)
+        assert abs(z - want) <= 2 * math.ulp(want)
+        assert abs(z - jacobi_zeros(params, n)[-1]) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("a", [-1 + 1e-15, -1 + 1e-12])
+    def test_top_zero_rounding_to_one(self, a):
+        # at alpha near -1 the top zero is within 1e-17 of 1, and the count stays below n up to 1 itself
+        params = JacobiParams(a, 0.0)
+        assert mp_top_zero_rounds_to_one(params, 1000)
+        assert largest_root(params, 1000) == 1.0
+
     def test_one_minus_root_scales_like_inverse_square(self):
         z1 = largest_root(LEG, 100)
         z2 = largest_root(LEG, 200)
@@ -342,6 +358,34 @@ def mp_zero(params, n, x, steps=3):
         return float(x)
 
 
+def mp_P_ab(params, n, x):
+    """P_n(x) and P_{n-1}(x) by mpmath's recurrence at the working precision, any (alpha, beta)."""
+    a, b, x = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(x)
+    prev, cur = mpmath.mpf(1), ((a + b + 2) * x + (a - b)) / 2
+    for k in range(2, n + 1):
+        s = 2 * k + a + b
+        prev, cur = cur, (((s - 1) * s * (s - 2) * x + (s - 1) * (a * a - b * b)) * cur
+                          - 2 * (k + a - 1) * (k + b - 1) * s * prev) / (2 * k * (k + a + b) * (s - 2))
+    return cur, prev
+
+
+def mp_zero_ab(params, n, x, steps=3):
+    """A zero of P_n near x, by Newton steps on mpmath's recurrence at 50 digits, any (alpha, beta)."""
+    with mpmath.workdps(50):
+        a, b, x = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(x)
+        for _ in range(steps):
+            cur, prev = mp_P_ab(params, n, x)
+            s = 2 * n + a + b
+            x -= cur * s * (1 - x * x) / (n * (a - b - s * x) * cur + 2 * (n + a) * (n + b) * prev)
+        return float(x)
+
+
+def mp_top_zero_rounds_to_one(params, n):
+    """True when P_n changes sign in (1 - 1e-17, 1): its top zero is then nearer 1 than any double below 1."""
+    with mpmath.workdps(50):
+        return mp_P_ab(params, n, 1 - mpmath.mpf("1e-17"))[0] * mp_P_ab(params, n, 1)[0] < 0
+
+
 class TestJacobiZeros:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 1024, 1025, 4096])
     @pytest.mark.parametrize("a", [-0.9, -0.45, 0.0, 0.5, 3.0, 150.0])
@@ -355,11 +399,95 @@ class TestJacobiZeros:
         if n % 2:
             assert zeros[n // 2] == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1025])
-    @pytest.mark.parametrize("ab", [(0.5, 0.0), (-0.45, 3.0), (150.0, 0.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 1024, 1025, 4096])
+    @pytest.mark.parametrize("ab", [(0.5, 0.0), (-0.45, 3.0), (150.0, 0.0), (0.0, 150.0), (-0.9, 0.5), (3.0, 301.0),
+                                    (1.0, 0.5)])
     def test_uneven_weight_is_the_full_solve(self, ab, n):
+        # scipy's eigenvalue solve is an oracle here, to 1e-14: the package shares no code with it
         params = JacobiParams(*ab)
-        assert np.array_equal(jacobi_zeros(params, n), eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True))
+        zeros = jacobi_zeros(params, n)
+        full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
+        assert np.all(np.diff(zeros) > 0)
+
+    @pytest.mark.parametrize("ab", [(1.0, 0.5), (150.0, 0.0)])
+    def test_extreme_zeros_match_mpmath(self, ab):
+        params, n = JacobiParams(*ab), 1024
+        zeros = jacobi_zeros(params, n)
+        ends = np.concatenate([zeros[:3], zeros[-3:]])
+        want = [mp_zero_ab(params, n, z) for z in ends]
+        np.testing.assert_allclose(ends, want, rtol=0.0, atol=2.3e-16)
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5), (150.0, 0.0), (3.0, 301.0), (150.0, 150.0)])
+    @pytest.mark.parametrize("n", [2, 9, 64, 255])
+    def test_sturm_count_is_the_number_of_eigenvalues_below(self, ab, n):
+        params = JacobiParams(*ab)
+        diag, off = jacobi_matrix(params, n)
+        full = eigh_tridiagonal(diag, off, eigvals_only=True)
+        x = np.concatenate([np.linspace(-1.0, 1.0, 100), 0.5 * (full[1:] + full[:-1])])
+        counts = jacobi._pivots(diag.tolist(), (off * off).tolist(), x, count=True)[1]
+        np.testing.assert_array_equal(counts, np.searchsorted(full, x))
+        assert [jacobi._pivot(diag.tolist(), (off * off).tolist(), v)[1] for v in x[:20]] == list(counts[:20])
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5), (0.0, 150.0)])
+    def test_bad_guesses_are_repaired_by_count(self, ab, monkeypatch):
+        # every guess at one point: Newton sends them all to one or two zeros, and the Sturm
+        # count must find every other zero by bisection and Newton
+        params, n = JacobiParams(*ab), 200
+        monkeypatch.setattr(jacobi, "_zero_guesses", lambda params, n, m: np.full(m, 0.3))
+        jacobi_zeros.cache_clear()
+        try:
+            zeros = jacobi_zeros(params, n)
+        finally:
+            jacobi_zeros.cache_clear()
+        full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
+
+    def test_non_finite_steps_are_repaired(self, monkeypatch):
+        # an overflowing first Newton pass leaves no zero unrefined: each goes to the counted repair
+        params, n = JacobiParams(1.0, 0.5), 300
+        step = jacobi._newton_step
+        calls = []
+
+        def overflowing(*args):
+            calls.append(1)
+            s = step(*args)
+            return np.full_like(s, np.inf) if len(calls) == 1 else s
+
+        monkeypatch.setattr(jacobi, "_newton_step", overflowing)
+        jacobi_zeros.cache_clear()
+        try:
+            zeros = jacobi_zeros(params, n)
+        finally:
+            jacobi_zeros.cache_clear()
+        full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
+
+    def test_uncertifiable_zeros_raise(self, monkeypatch):
+        # a count that never matches must raise, not return uncertified zeros
+        pivots = jacobi._pivots
+
+        def miscounted(diag, off2, x, count=False):
+            q, neg = pivots(diag, off2, x, count)
+            return q, (neg * 0 if count else neg)
+
+        monkeypatch.setattr(jacobi, "_pivots", miscounted)
+        jacobi_zeros.cache_clear()
+        try:
+            with pytest.raises(RuntimeError):
+                jacobi_zeros(JacobiParams(1.0, 0.5), 20)
+        finally:
+            jacobi_zeros.cache_clear()
+
+    @pytest.mark.parametrize("ab", [(-1 + 1e-15, 0.0), (0.0, -1 + 1e-15)])
+    def test_end_zero_rounding_to_one(self, ab):
+        # the end zero at the weight near -1 rounds to -1 or 1, and is still certified
+        params, n = JacobiParams(*ab), 1000
+        assert mp_top_zero_rounds_to_one(JacobiParams(min(ab), max(ab)), n)
+        zeros = jacobi_zeros(params, n)
+        assert (zeros[-1] if ab[0] < 0 else -zeros[0]) == 1.0
+        full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("a", [0.0, 3.0, 150.0])
     def test_largest_zeros_match_mpmath(self, a):

@@ -49,6 +49,19 @@ def moment_exact(params: JacobiParams, k: int) -> float:
         return float(val)
 
 
+class TestTotalMass:
+    def test_matches_mpmath_on_grid(self):
+        # scipy's betaln is 2.9e-13 off at (301, 150), and a bare lgamma sum 5.2e-13 at (301, -0.9)
+        grid = [-0.99, -0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 6.0, 13.0, 40.0, 150.0, 301.0]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in grid:
+                for b in grid:
+                    exact = mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)
+                    worst = max(worst, abs(float(total_mass(JacobiParams(a, b)) / exact - 1)))
+        assert worst <= 3e-13
+
+
 class TestGaussJacobiRule:
     def test_two_point_legendre(self):
         rule = gauss_jacobi_rule(LEG, 2)
