@@ -8,7 +8,7 @@ besides --out and --config; a key's type is its default's. Every run writes
 command's keys, then its results), <out>/manifest.json (command, the same
 config echo, tool version, timestamp) and, for slope-fit commands, a
 <command>.dat / <command>.fit pair of plot files. Exit codes: 0 success,
-2 configuration error, 3 numerical non-convergence.
+2 configuration error, 3 numerical failure (non-convergence or overflow).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .jacobi import JacobiParams, NormalizationMode
-from .quadrature import ConvergenceError
+from .quadrature import ConvergenceError, EvaluationError
 from .experiments import (
     ExperimentConfig,
     SlopeFit,
@@ -291,12 +291,12 @@ def main(argv=None) -> int:
         _write_json(outdir / f"{command}.json", {"config": echo, **fields})
         if fit is not None:
             emit_plot_data(fit, outdir / f"{command}.dat")
+    except (OverflowError, EvaluationError, ConvergenceError) as exc:  # EvaluationError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     _write_json(
         outdir / "manifest.json",
         {

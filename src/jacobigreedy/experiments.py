@@ -19,8 +19,9 @@ from .jacobi import (
     darboux_amplitude,
     darboux_phase,
     eval_P,
+    eval_P_many,
     largest_root,
-    near_one_ratio_range,
+    near_one_window,
 )
 from .quadrature import family_norms, rademacher_average_norm
 from .greedy import Expansion, JacobiFamily, _orthonormal_lp_norm, expansion_lp_norm
@@ -255,35 +256,34 @@ def near_one_experiment(
     n_grid: Sequence[int],
     d_sweep: Sequence[float] = (0.5, 0.25, 0.125),
 ) -> NearOneResult:
-    """Envelope of P_n(x)/n^alpha over near-one windows, plus root scaling.
+    """Envelope of P_n(x)/n^alpha over near-one windows (33 evenly spaced x
+    in each near_one_window(n, d), all of one n in one pass), plus root scaling.
 
     Picks the largest d in the sweep whose envelope stays positive with
     max/min <= 10. The largest root z_n obeys 1 - z_n ~ n^{-2}.
     """
-    rows = []
-    chosen = None
-    for d in sorted(d_sweep, reverse=True):
-        lo, hi = math.inf, -math.inf
-        for n in n_grid:
-            a, b = near_one_ratio_range(params, n, d)
-            lo, hi = min(lo, a), max(hi, b)
-        rows.append((float(d), lo, hi))
-        if chosen is None and lo > 0 and hi / lo <= 10.0:
-            chosen = float(d)
+    ds = sorted(d_sweep, reverse=True)
+    lo, hi = np.full(len(ds), math.inf), np.full(len(ds), -math.inf)
+    for n in n_grid:
+        windows = np.reshape([np.linspace(*near_one_window(n, d), 33) for d in ds], (len(ds), 33))
+        ratios = eval_P(params, n, windows) / float(n) ** params.alpha
+        lo, hi = np.minimum(lo, ratios.min(axis=1)), np.maximum(hi, ratios.max(axis=1))
+    rows = tuple((float(d), float(a), float(b)) for d, a, b in zip(ds, lo, hi))
+    chosen = next((d for d, a, b in rows if a > 0 and b / a <= 10.0), None)
     roots = [largest_root(params, n) for n in n_grid]
     root_fit = fit_loglog(n_grid, [1.0 - z for z in roots], label="largest-root")
-    return NearOneResult(rows=tuple(rows), chosen_d=chosen, root_fit=root_fit)
+    return NearOneResult(rows=rows, chosen_d=chosen, root_fit=root_fit)
 
 
 def darboux_envelope(params: JacobiParams, n_grid: Sequence[int]) -> list[tuple[int, float]]:
     """Per n: max over theta of |n^{1/2} P_n(cos t) - main term| * n sin t / k(t),
-    on 200 evenly spaced theta in [0.1, pi - 0.1]."""
+    on 200 evenly spaced theta in [0.1, pi - 0.1], every n from one recurrence pass."""
     th = np.linspace(0.1, math.pi - 0.1, 200)
     k = darboux_amplitude(params, th)
     phi = darboux_phase(params, th)
     out = []
-    for n in n_grid:
-        exact = math.sqrt(n) * eval_P(params, n, np.cos(th))
+    for n, pn in zip(n_grid, eval_P_many(params, n_grid, np.cos(th))):
+        exact = math.sqrt(n) * pn
         main = k * np.cos(n * th + phi)
         scaled = np.abs(exact - main) * n * np.sin(th) / k
         out.append((int(n), float(np.max(scaled))))

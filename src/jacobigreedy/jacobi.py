@@ -191,31 +191,52 @@ def jacobi_combination(params: JacobiParams, coeffs: Mapping[int, float], x) -> 
     return acc.reshape(xv.shape)
 
 
+def total_mass(params: JacobiParams) -> float:
+    """Integral of d mu = 2^{alpha+beta+1} B(alpha+1, beta+1)."""
+    a, b = params.alpha, params.beta
+    return math.exp((a + b + 1.0) * math.log(2.0) + _log_beta(a + 1.0, b + 1.0))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0. Above 10 the lgamma terms, each up to ~2300, would cancel to a
+    far smaller sum, so there they are split (as in R's lbeta) into closed logarithms and the
+    remainders of Stirling's series, which are small."""
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    corr = _stirling_rest(q) - _stirling_rest(p + q)
+    if p < 10.0:
+        return math.lgamma(p) + corr + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-p / (p + q))
+    return (0.5 * math.log(2.0 * math.pi / q) + _stirling_rest(p) + corr
+            + (p - 0.5) * math.log(p / (p + q)) + q * math.log1p(-p / (p + q)))
+
+
+def _stirling_rest(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2) for x >= 10, by Stirling's series to below 1e-17."""
+    t = 1.0 / (x * x)
+    return (1.0 / 12 - t * (1.0 / 360 - t * (1.0 / 1260 - t * (1.0 / 1680 - t * (1.0 / 1188 - t * (
+        691.0 / 360360 - t * (1.0 / 156 - t * 3617.0 / 122400))))))) / x
+
+
 def orthonormal_const(params: JacobiParams, n: int) -> float:
     """d_n with p_n = d_n P_n orthonormal in L2(mu); d_n ~ sqrt(n) for large n.
 
-    Evaluated through log-gamma so large n does not overflow.
+    d_0 = total_mass^{-1/2}; the others are evaluated through log-gamma so
+    large n does not overflow.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    a, b = params.alpha, params.beta
     if n == 0:
-        # (a+b+1)*Gamma(a+b+1) collapses to Gamma(a+b+2), valid for all a+b > -2
-        log_d2 = (
-            math.lgamma(a + b + 2.0)
-            - (a + b + 1.0) * math.log(2.0)
-            - math.lgamma(a + 1.0)
-            - math.lgamma(b + 1.0)
-        )
-    else:
-        log_d2 = (
-            math.log(2.0 * n + a + b + 1.0)
-            + math.lgamma(n + 1.0)
-            + math.lgamma(n + a + b + 1.0)
-            - (a + b + 1.0) * math.log(2.0)
-            - math.lgamma(n + a + 1.0)
-            - math.lgamma(n + b + 1.0)
-        )
+        return total_mass(params) ** -0.5
+    a, b = params.alpha, params.beta
+    log_d2 = (
+        math.log(2.0 * n + a + b + 1.0)
+        + math.lgamma(n + 1.0)
+        + math.lgamma(n + a + b + 1.0)
+        - (a + b + 1.0) * math.log(2.0)
+        - math.lgamma(n + a + 1.0)
+        - math.lgamma(n + b + 1.0)
+    )
     return math.exp(0.5 * log_d2)
 
 
@@ -244,14 +265,6 @@ def near_one_window(n: int, d: float = 0.5) -> tuple[float, float]:
     if not (math.isfinite(d) and d > 0):  # nan and inf pass d <= 0
         raise DomainError(f"d={d} must be finite and > 0")
     return (1.0 - d / n**2, 1.0)
-
-
-def near_one_ratio_range(params: JacobiParams, n: int, d: float = 0.5) -> tuple[float, float]:
-    """(min, max) of P_n(x)/n^alpha over 33 evenly spaced x in the near-one window."""
-    lo, hi = near_one_window(n, d)
-    xs = np.linspace(lo, hi, 33)
-    vals = eval_P(params, n, xs) / float(n) ** params.alpha
-    return float(vals.min()), float(vals.max())
 
 
 def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix, jacobi_zeros, orthonormal_const
+from .jacobi import _BLOCK, JacobiParams, jacobi_iter, jacobi_matrix, jacobi_zeros, orthonormal_const, total_mass
 
 
 class ConvergenceError(RuntimeError):
@@ -55,33 +55,6 @@ class ConvergenceError(RuntimeError):
 
 class EvaluationError(ValueError):
     """The integrand returned NaN or inf."""
-
-
-def total_mass(params: JacobiParams) -> float:
-    """Integral of d mu = 2^{alpha+beta+1} B(alpha+1, beta+1)."""
-    a, b = params.alpha, params.beta
-    return math.exp((a + b + 1.0) * math.log(2.0) + _log_beta(a + 1.0, b + 1.0))
-
-
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b) for a, b > 0. Above 10 the lgamma terms, each up to ~2300, would cancel to a
-    far smaller sum, so there they are split (as in R's lbeta) into closed logarithms and the
-    remainders of Stirling's series, which are small."""
-    p, q = min(a, b), max(a, b)
-    if q < 10.0:
-        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-    corr = _stirling_rest(q) - _stirling_rest(p + q)
-    if p < 10.0:
-        return math.lgamma(p) + corr + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-p / (p + q))
-    return (0.5 * math.log(2.0 * math.pi / q) + _stirling_rest(p) + corr
-            + (p - 0.5) * math.log(p / (p + q)) + q * math.log1p(-p / (p + q)))
-
-
-def _stirling_rest(x: float) -> float:
-    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2) for x >= 10, by Stirling's series to below 1e-17."""
-    t = 1.0 / (x * x)
-    return (1.0 / 12 - t * (1.0 / 360 - t * (1.0 / 1260 - t * (1.0 / 1680 - t * (1.0 / 1188 - t * (
-        691.0 / 360360 - t * (1.0 / 156 - t * 3617.0 / 122400))))))) / x
 
 
 @dataclass(frozen=True)

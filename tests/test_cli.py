@@ -142,6 +142,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: d={d} must be finite and > 0")
         assert not (tmp_path / "near-one.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["near-one", "--alpha", "300", "--n-min", "10", "--n-max", "40"],  # OverflowError
+         ["average-block", "--alpha", "300", "--p", "1.5", "--N-min", "256", "--N-max", "512",
+          "--samples", "4"]],  # EvaluationError, a ValueError
+        ids=lambda argv: argv[0],
+    )
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
     def test_invalid_alpha(self, tmp_path):
         code = run(["norms", "--alpha", "-2", "--out", str(tmp_path)])
         assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobigreedy import jacobi
 from jacobigreedy.jacobi import JacobiParams, NormalizationMode
 from jacobigreedy.experiments import (
     ExperimentConfig,
@@ -199,6 +200,32 @@ class TestDarbouxEnvelope:
         rows = darboux_envelope(LEG, (16, 64, 256))
         vals = [v for _, v in rows]
         assert max(vals) <= 2 * vals[0]
+
+
+class TestRecurrencePasses:
+    """Each pointwise experiment starts one recurrence per degree at most: near-one one pass per n
+    for all its windows, darboux-check one pass for its whole grid."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        started = []
+        kernel = jacobi.jacobi_iter
+
+        def counted(params, x, nmax):
+            started.append(nmax)
+            return kernel(params, x, nmax)
+
+        monkeypatch.setattr(jacobi, "jacobi_iter", counted)
+        return started
+
+    def test_near_one_one_pass_per_degree(self, passes):
+        n_grid = (10, 20, 40, 80)
+        near_one_experiment(JacobiParams(1.5, 0.5), n_grid, d_sweep=(0.5, 0.25, 0.125))
+        assert passes == list(n_grid)
+
+    def test_darboux_one_pass(self, passes):
+        darboux_envelope(JacobiParams(1.0, 0.5), (16, 32, 64, 128))
+        assert passes == [128]
 
 
 class TestWitness:

@@ -52,7 +52,11 @@ CASES = {
     "average-block": ["average-block", "--p", "3", "--N-min", "4", "--N-max", "16",
                       "--samples", "16", "--seed", "2", "--tol", "1e-5"],
     "near-one": ["near-one", "--n-min", "10", "--n-max", "80"],
+    "near-one-alpha1.5-beta0.5": ["near-one", "--alpha", "1.5", "--beta", "0.5", "--n-min", "10",
+                                  "--n-max", "160"],
     "darboux-check": ["darboux-check", "--n-min", "16", "--n-max", "64"],
+    "darboux-check-alpha1-beta0.5": ["darboux-check", "--alpha", "1", "--beta", "0.5", "--n-min",
+                                     "16", "--n-max", "256"],
     "identity-check": ["identity-check", "--trials", "200", "--N-max", "16", "--seed", "3"],
     "witness-p2": [*WITNESS, "--p", "2"],
     "witness-p3": [*WITNESS, "--p", "3"],

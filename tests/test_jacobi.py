@@ -20,10 +20,10 @@ from jacobigreedy.jacobi import (
     jacobi_matrix,
     jacobi_zeros,
     largest_root,
-    near_one_ratio_range,
     near_one_window,
     orthonormal_const,
 )
+from jacobigreedy.experiments import near_one_experiment
 from jacobigreedy.greedy import basis_scales
 
 LEG = JacobiParams(0.0, 0.0)
@@ -217,6 +217,17 @@ class TestOrthonormalConst:
         assert orthonormal_const(LEG, 0) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
         assert orthonormal_const(LEG, 1) == pytest.approx(math.sqrt(1.5), rel=1e-14)
 
+    def test_d0_matches_mpmath_on_grid(self):
+        # d_0 = total_mass^{-1/2}; a separate lgamma sum was 2.0e-13 off at (1.5, 301)
+        grid = [-0.99, -0.5, 0.0, 0.5, 1.5, 3.0, 9.5, 10.0, 40.0, 150.0, 301.0]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in grid:
+                for b in grid:
+                    exact = (mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)) ** mpmath.mpf(-0.5)
+                    worst = max(worst, abs(float(orthonormal_const(JacobiParams(a, b), 0) / exact - 1)))
+        assert worst <= 5e-14
+
     def test_large_n_sqrt_asymptotics(self):
         v = orthonormal_const(LEG, 10_000)
         assert abs(v / math.sqrt(10_000) - 1) < 0.01
@@ -285,13 +296,9 @@ class TestNearOne:
         assert near_one_window(10, 1.0) == (0.99, 1.0)
 
     def test_legendre_ratio_envelope(self):
-        los, his = [], []
-        for n in (10, 40, 160, 640):
-            lo, hi = near_one_ratio_range(LEG, n, 0.5)
-            los.append(lo)
-            his.append(hi)
-        assert min(los) > 0.7  # limit value is J_0(1) ~ 0.765
-        assert max(his) <= 1.0 + 1e-12
+        (_, lo, hi), = near_one_experiment(LEG, (10, 40, 160, 640), d_sweep=(0.5,)).rows
+        assert lo > 0.7  # limit value is J_0(1) ~ 0.765
+        assert hi <= 1.0 + 1e-12
 
     def test_alpha_one_bounded(self):
         params = JacobiParams(1.0, 0.0)
