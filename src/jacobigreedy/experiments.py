@@ -266,7 +266,11 @@ def near_one_experiment(
     lo, hi = np.full(len(ds), math.inf), np.full(len(ds), -math.inf)
     for n in n_grid:
         windows = np.reshape([np.linspace(*near_one_window(n, d), 33) for d in ds], (len(ds), 33))
-        ratios = eval_P(params, n, windows) / float(n) ** params.alpha
+        try:
+            scale = float(n) ** params.alpha
+        except OverflowError:
+            raise OverflowError(f"n^alpha overflows at n = {n}, alpha = {params.alpha:g}") from None
+        ratios = eval_P(params, n, windows) / scale
         lo, hi = np.minimum(lo, ratios.min(axis=1)), np.maximum(hi, ratios.max(axis=1))
     rows = tuple((float(d), float(a), float(b)) for d, a, b in zip(ds, lo, hi))
     chosen = next((d for d, a, b in rows if a > 0 and b / a <= 10.0), None)

@@ -6,8 +6,12 @@ d mu(x) = (1-x)^alpha (1+x)^beta dx on (-1, 1).
 
 One kernel, jacobi_iter, runs the recurrence in three in-place buffers that
 each step overwrites; every evaluator feeds it blocks of at most _BLOCK points.
-Each step is P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, with the three
-coefficient ratios taken once as scalars, so no step divides a vector.
+It is the three-term recurrence P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}
+rescaled (Gautschi, Orthogonal Polynomials: Computation and Approximation,
+2004) to R_n = P_n / lambda_n with R_n = (A'_n x + B'_n) R_{n-1} - R_{n-2}:
+its coefficients and lambda_n come from one scalar sweep, so a step makes
+three in-place passes over the block (four when alpha != beta) and divides no
+vector, and each caller folds lambda_n into the scalar it already multiplies by.
 The zeros of P_n, the eigenvalues of the Jacobi matrix, need no eigenvalue
 solver: Newton's method from asymptotic guesses (Hale & Townsend, SIAM J.
 Sci. Comput. 35, 2013) takes its steps from the pivots of J - xI, the ratio
@@ -101,39 +105,69 @@ def _check_x(x):
 _BLOCK = 32768
 
 
-def jacobi_iter(params: JacobiParams, x: np.ndarray, nmax: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, P_n(x)) for n = 0..nmax by the forward three-term recurrence.
+def _scaled_coefficients(params: JacobiParams, nmax: int):
+    """(A'_n, B'_n, lambda_n) of jacobi_iter's recurrence: A' and B' for n = 2..nmax, lambda for
+    n = 0..nmax.
+
+    P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2} becomes R_n = (A'_n x + B'_n) R_{n-1} - R_{n-2} for
+    R_n = P_n / lambda_n, lambda_n = C_n lambda_{n-2}, A'_n = A_n lambda_{n-1} / lambda_n and B'_n
+    likewise. lambda_0 and lambda_1 are the least powers of two that keep every lambda_n >= 1, so
+    |R_n| <= |P_n| and R overflows no earlier than P; being powers of two, they change no bit of
+    lambda_n R_n.
+    """
+    a, b = params.alpha, params.beta
+    ab, n = a + b, np.arange(2.0, nmax + 1.0)
+    # s - 2 and n - 1 + alpha as 2 (n - 1) + (alpha + beta) and (n - 1) + alpha, which are exact
+    # where they are small (alpha, beta near -1), not 2 n + alpha + beta - 2
+    s, s1, s2 = 2.0 * n + ab, (2.0 * n - 1.0) + ab, (2.0 * n - 2.0) + ab
+    c1 = 2.0 * n * (n + ab) * s2
+    lam = np.ones(nmax + 1)
+    for k in range(min(nmax + 1, 2)):  # the even and the odd chain
+        chain = lam[k::2]
+        np.cumprod(2.0 * ((n[k::2] - 1.0) + a) * ((n[k::2] - 1.0) + b) * s[k::2] / c1[k::2], out=chain[1:])
+        chain *= 2.0 ** max(0, 1 - math.frexp(chain.min())[1])
+    ratio = lam[1:-1] / lam[2:]
+    A, B = s1 * s, s1 * (a - b)  # then in place, as s1 s s2 / c1 ratio and s1 (a - b) ab / c1 ratio
+    A *= s2
+    B *= ab
+    for v in (A, B):
+        v /= c1
+        v *= ratio
+    return A, B, lam
+
+
+def jacobi_iter(params: JacobiParams, x: np.ndarray, nmax: int) -> Iterator[tuple[int, np.ndarray, float]]:
+    """Yield (n, R_n(x), lambda_n) with P_n = lambda_n R_n, for n = 0..nmax, by the forward
+    three-term recurrence rescaled so that R_n = (A'_n x + B'_n) R_{n-1} - R_{n-2}
+    (_scaled_coefficients): three in-place passes a step, four when alpha != beta.
 
     Three preallocated buffers of x's shape are updated in place: each
     yielded array is overwritten by the next step, so copy it to keep it.
+    Callers fold lambda_n into the scalar they multiply R_n by.
     """
     a, b = params.alpha, params.beta
+    A, B, lam = _scaled_coefficients(params, nmax)
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    yield 0, p_prev
+    r_prev = np.full_like(x, 1.0 / lam[0])
+    yield 0, r_prev, float(lam[0])
     if nmax == 0:
         return
-    p_cur = np.multiply(x, 0.5 * (a + b + 2.0), out=np.empty_like(x))
-    p_cur += 0.5 * (a - b)
-    yield 1, p_cur
-    p_next = np.empty_like(x)
-    for n in range(2, nmax + 1):
-        s = 2.0 * n + a + b
-        c1 = 2.0 * n * (n + a + b) * (s - 2.0)
-        c2 = (s - 1.0) * (a * a - b * b)
-        c3 = (s - 1.0) * s * (s - 2.0)
-        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
-        # (A x + B) p_cur - C p_prev with A, B, C = c3, c2, c4 over c1: scalar
-        # divides only, one in-place pass per operation, and no B pass when
-        # c2 = 0 (every alpha = beta)
-        np.multiply(x, c3 / c1, out=p_next)
-        if c2:
-            p_next += c2 / c1
-        p_next *= p_cur
-        p_prev *= c4 / c1
-        p_next -= p_prev
-        p_prev, p_cur, p_next = p_cur, p_next, p_prev
-        yield n, p_cur
+    r_cur = np.multiply(x, 0.5 * (a + b + 2.0) / lam[1], out=np.empty_like(x))
+    r_cur += 0.5 * (a - b) / lam[1]
+    yield 1, r_cur, float(lam[1])
+    r_next = np.empty_like(x)
+    for lo in range(2, nmax + 1, 1024):  # the coefficients as Python floats, 1024 steps at a time
+        hi = min(lo + 1024, nmax + 1)
+        for n, an, bn, ln in zip(range(lo, hi), A[lo - 2:hi - 2].tolist(), B[lo - 2:hi - 2].tolist(),
+                                 lam[lo:hi].tolist()):
+            # one in-place pass per operation, and no B' pass when it is 0 (every alpha = beta)
+            np.multiply(x, an, out=r_next)
+            if bn:
+                r_next += bn
+            r_next *= r_cur
+            r_next -= r_prev
+            r_prev, r_cur, r_next = r_cur, r_next, r_prev
+            yield n, r_cur, ln
 
 
 def _blocks(params: JacobiParams, x: np.ndarray, nmax: int):
@@ -167,10 +201,11 @@ def _rows(params: JacobiParams, degrees: list, x: np.ndarray) -> np.ndarray:
             raise DomainError("degrees must be >= 0")
         want.setdefault(int(d), []).append(i)
     out = np.empty((len(degrees), x.size))
-    for block, steps in _blocks(params, x, max(want)):
-        for n, pn in steps:
-            for i in want.get(n, ()):
-                out[i, block] = pn
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
+        for block, steps in _blocks(params, x, max(want)):
+            for n, rn, ln in steps:
+                for i in want.get(n, ()):
+                    np.multiply(rn, ln, out=out[i, block])
     if not np.isfinite(out).all():
         raise OverflowError("Jacobi recurrence overflowed")
     return out
@@ -180,12 +215,13 @@ def jacobi_combination(params: JacobiParams, coeffs: Mapping[int, float], x) -> 
     """Sum_{n} coeffs[n] * P_n(x), accumulated in one recurrence pass."""
     xv = np.atleast_1d(_check_x(x))
     acc = np.zeros(xv.size)
-    for block, steps in _blocks(params, xv.ravel(), max(coeffs, default=0)):
-        part = acc[block]
-        for n, pn in steps:
-            c = coeffs.get(n)
-            if c:
-                part += c * pn
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
+        for block, steps in _blocks(params, xv.ravel(), max(coeffs, default=0)):
+            part = acc[block]
+            for n, rn, ln in steps:
+                c = coeffs.get(n)
+                if c:
+                    part += (c * ln) * rn
     if not np.isfinite(acc).all():
         raise OverflowError("Jacobi combination overflowed")
     return acc.reshape(xv.shape)
@@ -243,11 +279,12 @@ def orthonormal_const(params: JacobiParams, n: int) -> float:
 def darboux_amplitude(params: JacobiParams, theta) -> np.ndarray | float:
     """k(theta) = pi^{-1/2} sin(theta/2)^{-alpha-1/2} cos(theta/2)^{-beta-1/2}."""
     th = np.asarray(theta, dtype=float)
-    k = (
-        math.pi ** -0.5
-        * np.sin(th / 2.0) ** (-params.alpha - 0.5)
-        * np.cos(th / 2.0) ** (-params.beta - 0.5)
-    )
+    with np.errstate(over="ignore"):  # inf past the doubles (alpha or beta in the hundreds)
+        k = (
+            math.pi ** -0.5
+            * np.sin(th / 2.0) ** (-params.alpha - 0.5)
+            * np.cos(th / 2.0) ** (-params.beta - 0.5)
+        )
     return float(k) if k.ndim == 0 else k
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +144,26 @@ class TestExitCodes:
         assert not (tmp_path / "near-one.csv").exists()
 
     @pytest.mark.parametrize(
-        "argv",
-        [["near-one", "--alpha", "300", "--n-min", "10", "--n-max", "40"],  # OverflowError
-         ["average-block", "--alpha", "300", "--p", "1.5", "--N-min", "256", "--N-max", "512",
-          "--samples", "4"]],  # EvaluationError, a ValueError
-        ids=lambda argv: argv[0],
+        "argv, message",
+        [pytest.param(argv, message, id=argv[0]) for argv, message in [
+            (["near-one", "--alpha", "300", "--n-min", "10", "--n-max", "40"],  # OverflowError
+             "n^alpha overflows at n = 20, alpha = 300"),
+            (["average-block", "--alpha", "300", "--p", "1.5", "--N-min", "256", "--N-max", "512",
+              "--samples", "4"], "Jacobi recurrence overflowed"),  # EvaluationError, a ValueError
+            (["darboux-check", "--alpha", "300", "--n-min", "2048", "--n-max", "4096"],
+             "Jacobi recurrence overflowed"),
+            (["norms", "--alpha", "300", "--p", "3", "--n-min", "2048", "--n-max", "4096"],
+             "Jacobi recurrence overflowed"),
+        ]],
     )
-    def test_numerical_failure_exits_3(self, tmp_path, capsys, argv):
-        assert run([*argv, "--out", str(tmp_path)]) == 3
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, argv, message):
+        # the isfinite check reports an overflow once: numpy warns of none on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*argv, "--out", str(tmp_path)]) == 3
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
     def test_invalid_alpha(self, tmp_path):

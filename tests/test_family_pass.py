@@ -3,8 +3,11 @@
 quadrature.family_norms evaluates a whole family once per mesh level and
 reduces it block by block. The oracle below keeps the estimators that came
 before it: each quantity on its own mesh-doubling loop, the family held as
-one (rows x mesh points) matrix (JacobiFamily.values), the block sums
-through jacobi_combination. Both must give the same floats. Where the
+one (rows x mesh points) matrix (family_values), the block sums through
+jacobi_combination. Both must give the same floats, so the oracle rounds as
+the pass does: each row is R_n times the scalar s_j lambda_n (jacobi_iter's
+rescaled recurrence), and the integrals of |.|^p come from
+quadrature._pth_sum (tested against np.power in test_quadrature). Where the
 integrands are even (alpha = beta, degrees of one parity), the oracle folds
 its mesh at pi/2 exactly as _converge does; test_quadrature checks the fold
 itself against the full mesh.
@@ -27,9 +30,10 @@ from jacobigreedy.experiments import (
     staggered_block,
 )
 from jacobigreedy.greedy import Expansion, JacobiFamily, greedy_approx, greedy_ordering, quasi_greedy_ratio
-from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P_many, jacobi_combination
+from jacobigreedy.jacobi import JacobiParams, NormalizationMode, eval_P_many, jacobi_combination, jacobi_iter
 from jacobigreedy.quadrature import (
     _MAX_REFINE,
+    _pth_sum,
     family_norms,
     lp_norms_of_rows,
     mu_theta_weight,
@@ -60,19 +64,28 @@ def is_even(fam):
     return fam.params.alpha == fam.params.beta and len({d % 2 for d in fam.degrees}) == 1
 
 
+def family_values(fam, x):
+    """The matrix of fam.values(x), each row R_n (s_j lambda_n) as the family pass rounds it."""
+    rows = np.empty((len(fam), x.size))
+    for n, rn, ln in jacobi_iter(fam.params, x, max(fam.degrees)):
+        for j in np.flatnonzero(np.array(fam.degrees) == n):
+            np.multiply(rn, fam.scales[j] * ln, out=rows[j])
+    return rows
+
+
 def oracle_combination_norm(fam, c, p, tol):
     coeffs = {d: ci * s for d, ci, s in zip(fam.degrees, c, fam.scales)}
     f = lambda x: jacobi_combination(fam.params, coeffs, x)
     return float(oracle_converge(
-        lambda th, w: np.dot(w, np.abs(f(np.cos(th))) ** p) ** (1.0 / p), fam.params, max(fam.degrees), tol,
+        lambda th, w: _pth_sum(f(np.cos(th)), w, p) ** (1.0 / p), fam.params, max(fam.degrees), tol,
         is_even(fam),
     ))
 
 
 def oracle_square_norm(fam, p, tol):
     def estimator(theta, w):
-        rows = fam.values(np.cos(theta))
-        return np.dot(w, np.sum(rows * rows, axis=0) ** (p / 2.0)) ** (1.0 / p)
+        rows = family_values(fam, np.cos(theta))
+        return _pth_sum(np.sum(rows * rows, axis=0), w, p / 2.0) ** (1.0 / p)
 
     return float(oracle_converge(estimator, fam.params, max(fam.degrees), tol, is_even(fam)))
 
@@ -83,7 +96,7 @@ def oracle_rademacher(fam, p, samples, seed, tol):
     pth = []
 
     def estimator(theta, w):
-        pth[:] = [np.abs(signs @ fam.values(np.cos(theta))) ** p @ w]
+        pth[:] = [_pth_sum(signs @ family_values(fam, np.cos(theta)), w, p)]
         return float(np.mean(pth[0])) ** (1.0 / p)
 
     est = oracle_converge(estimator, fam.params, max(fam.degrees), tol, is_even(fam))

@@ -36,21 +36,29 @@ def value_at_one(params, n):
     return math.exp(math.lgamma(n + a + 1.0) - math.lgamma(a + 1.0) - math.lgamma(n + 1.0))
 
 
-def reference_P(params, n, x):
-    """P_n(x) by the allocating forward recurrence, in the kernel's operation order."""
+def reference_R(params, n, x):
+    """(R_n(x), lambda_n) with P_n = lambda_n R_n, by the allocating rescaled recurrence
+    R_k = (A'_k x + B'_k) R_{k-1} - R_{k-2}, lambda_k = C_k lambda_{k-2}, in the kernel's operation
+    order but from lambda_0 = lambda_1 = 1: the kernel's powers of two change no bit of lambda_n R_n."""
     a, b = params.alpha, params.beta
-    x = np.asarray(x, dtype=float)
-    p_prev, p_cur = np.ones_like(x), 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+    ab, x = a + b, np.asarray(x, dtype=float)
+    lam = [1.0, 1.0]
+    r_prev, r_cur = np.ones_like(x), 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
     if n == 0:
-        return p_prev
+        return r_prev, 1.0
     for k in range(2, n + 1):
-        s = 2.0 * k + a + b
-        c1 = 2.0 * k * (k + a + b) * (s - 2.0)
-        c2 = (s - 1.0) * (a * a - b * b)
-        c3 = (s - 1.0) * s * (s - 2.0)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p_prev, p_cur = p_cur, (x * (c3 / c1) + c2 / c1) * p_cur - p_prev * (c4 / c1)
-    return p_cur
+        s, s1, s2 = 2.0 * k + ab, (2.0 * k - 1.0) + ab, (2.0 * k - 2.0) + ab
+        c1 = 2.0 * k * (k + ab) * s2
+        lam.append(lam[-2] * (2.0 * ((k - 1.0) + a) * ((k - 1.0) + b) * s / c1))
+        ratio = lam[-2] / lam[-1]
+        r_prev, r_cur = r_cur, (x * (s1 * s * s2 / c1 * ratio) + s1 * (a - b) * ab / c1 * ratio) * r_cur - r_prev
+    return r_cur, lam[-1]
+
+
+def reference_P(params, n, x):
+    """P_n(x) = lambda_n R_n(x) from reference_R, rounded as the kernel's evaluators round it."""
+    r, lam = reference_R(params, n, x)
+    return r * lam
 
 
 class TestParams:
@@ -144,10 +152,10 @@ class TestBlockedKernel:
     def test_iter_yields_reused_buffers_of_x_shape(self, x):
         shape = np.shape(x)
         seen = []
-        for n, pn in jacobi.jacobi_iter(self.PARAMS, x, 4):
-            assert isinstance(pn, np.ndarray) and pn.shape == shape
-            assert np.array_equal(pn, reference_P(self.PARAMS, n, x))
-            seen.append(pn)
+        for n, rn, ln in jacobi.jacobi_iter(self.PARAMS, x, 4):
+            assert isinstance(rn, np.ndarray) and rn.shape == shape
+            assert np.array_equal(rn * ln, reference_P(self.PARAMS, n, x))
+            seen.append(rn)
         # three buffers rotate: step n overwrites the array yielded at step n - 3
         assert seen[4] is seen[1] and seen[3] is seen[0]
 
@@ -165,13 +173,14 @@ class TestBlockedKernel:
         want = np.zeros_like(x)
         for n in range(max(coeffs) + 1):
             if n in coeffs:
-                want += coeffs[n] * reference_P(self.PARAMS, n, x)
+                r, lam = reference_R(self.PARAMS, n, x)
+                want += (coeffs[n] * lam) * r
         assert np.array_equal(jacobi_combination(self.PARAMS, coeffs, x), want)
 
     @pytest.mark.parametrize(
         "a, b, n, x",
         [(0.0, 0.0, 7, 0.3), (-0.49, 0.2, 40, 0.91), (-0.45, -0.45, 13, -0.62),
-         (2.5, 1.0, 60, 0.05), (0.5, -0.3, 101, 0.999)],
+         (2.5, 1.0, 60, 0.05), (0.5, -0.3, 101, 0.999), (-1 + 1e-15, -1 + 1e-15, 4000, 0.3)],
     )
     def test_matches_mpmath(self, a, b, n, x):
         with mpmath.workdps(30):
@@ -189,6 +198,19 @@ class TestBlockedKernel:
                 eval_P_many(params, [3000], x)
             with pytest.raises(OverflowError):
                 eval_P(params, 3000, x)
+
+    @pytest.mark.parametrize(
+        "a, b, x, parent_n",
+        [(400.0, 0.0, 0.999, 685), (0.0, 400.0, -0.999, 685), (300.0, 0.0, 0.999, 1051),
+         (300.0, 300.0, 0.999, 1053)],
+    )
+    def test_rescaled_recurrence_overflows_no_earlier(self, a, b, x, parent_n):
+        # lambda_n >= 1 keeps |R_n| <= |P_n|; parent_n is the first degree whose P_n was not finite
+        # in the unscaled recurrence P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2} it replaced
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = next(n for n, rn, ln in jacobi.jacobi_iter(JacobiParams(a, b), np.array([x]), 4000)
+                         if not np.isfinite(rn * ln).all())
+        assert first >= parent_n
 
     @pytest.mark.parametrize("size", [1, B + 1])
     def test_equal_exponents_bit_identical_to_reference(self, size):

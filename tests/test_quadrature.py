@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from jacobigreedy.jacobi import (
     orthonormal_const,
 )
 from jacobigreedy.greedy import JacobiFamily, _orthonormal_lp_norm
+from jacobigreedy import quadrature
 from jacobigreedy.quadrature import (
     ConvergenceError,
     EvaluationError,
+    _pth_sum,
     family_norms,
     gauss_jacobi_rule,
     lp_norm,
@@ -217,6 +220,63 @@ class TestLpNorm:
         got = lp_norm(f, params, p, degree=12, tol=1e-9)
         assert type(got) is float
         assert got == lp_norms_of_rows(lambda x: f(x)[None], params, p, degree=12, tol=1e-9)[0]
+
+
+class TestPthSum:
+    """quadrature._pth_sum, sum_k w_k |v_k|^p, against np.power."""
+
+    @staticmethod
+    def values(p):
+        # signed values from the subnormals to where |v|^p nears the largest double, with zeros
+        rng = np.random.default_rng(11)
+        v = np.sign(rng.standard_normal(4000)) * 10.0 ** rng.uniform(-323.0, 300.0 / p, 4000)
+        return np.concatenate([v, [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -1.0]])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+    def test_within_4_ulp_of_power(self, p):
+        v = self.values(p)
+        want = np.abs(v) ** p
+        got = np.empty_like(v)
+        w = np.random.default_rng(2).random(v.size)
+        total = _pth_sum(v, w, p, out=got)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+        assert total == got @ w
+        assert np.array_equal(v, self.values(p))  # out= keeps v
+
+    @pytest.mark.parametrize("p", [2.01, 7.3])
+    def test_other_p_is_np_power_bit_for_bit(self, p):
+        v = self.values(p)
+        w = np.random.default_rng(2).random(v.size)
+        assert _pth_sum(v.copy(), w, p) == (np.abs(v) ** p) @ w
+        got = np.empty_like(v)
+        _pth_sum(v, w, p, out=got)
+        assert np.array_equal(got, np.abs(v) ** p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 6.0, 2.01])
+    def test_overflow_is_inf(self, p):
+        big = 2.0 * 1e308 ** (1.0 / p)  # finite, and |big|^p > 2e308
+        v, got = np.array([big, -big, 3.0]), np.empty(3)
+        with np.errstate(over="ignore"):
+            assert _pth_sum(v, np.ones(3), p, out=got) == math.inf
+        assert np.isinf(got[:2]).all() and got[2] == pytest.approx(3.0 ** p, rel=1e-15)
+
+    def test_rows_in_pieces(self, monkeypatch):
+        # each row of a 2-D v is one sum; rows longer than _BLOCK go in pieces, elementwise the same
+        v = np.random.default_rng(4).standard_normal((3, 50))
+        w = np.random.default_rng(5).random(50)
+        whole = _pth_sum(v.copy(), w, 2.5)
+        monkeypatch.setattr(quadrature, "_BLOCK", 7)
+        assert np.array_equal(_pth_sum(v.copy(), w, 2.5), whole)
+        assert whole.shape == (3,) and whole == pytest.approx([np.abs(r) ** 2.5 @ w for r in v], rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 6.0, 2.01])
+    def test_powers_past_the_doubles_raise_evaluation_error(self, p):
+        # P_600^(300,300) is finite on the mesh (up to binom(900, 600) ~ 1e249 at x = 1), its p-th power is not
+        fam = JacobiFamily(JacobiParams(300.0, 300.0), NormalizationMode.sqrt_scaled(), (600,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                family_norms(fam, p, combos=([1.0],))
 
 
 class TestSquareFunctionNorm:
