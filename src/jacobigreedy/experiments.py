@@ -281,12 +281,17 @@ def near_one_experiment(
 
 def darboux_envelope(params: JacobiParams, n_grid: Sequence[int]) -> list[tuple[int, float]]:
     """Per n: max over theta of |n^{1/2} P_n(cos t) - main term| * n sin t / k(t),
-    on 200 evenly spaced theta in [0.1, pi - 0.1], every n from one recurrence pass."""
+    on 200 evenly spaced theta in [0.1, pi - 0.1], every n from one recurrence pass.
+    OverflowError where the amplitude k(theta) does (alpha or beta in the hundreds)."""
     th = np.linspace(0.1, math.pi - 0.1, 200)
+    rows = eval_P_many(params, n_grid, np.cos(th))  # an overflow of P_n is reported first
     k = darboux_amplitude(params, th)
+    if not np.isfinite(k).all():
+        raise OverflowError(f"Darboux amplitude k(theta) overflows at theta = {th[~np.isfinite(k)][0]:.6g}, "
+                            f"alpha = {params.alpha:g}, beta = {params.beta:g}")
     phi = darboux_phase(params, th)
     out = []
-    for n, pn in zip(n_grid, eval_P_many(params, n_grid, np.cos(th))):
+    for n, pn in zip(n_grid, rows):
         exact = math.sqrt(n) * pn
         main = k * np.cos(n * th + phi)
         scaled = np.abs(exact - main) * n * np.sin(th) / k

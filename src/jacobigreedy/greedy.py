@@ -18,7 +18,7 @@ import numpy as np
 from .jacobi import (
     JacobiParams,
     NormalizationMode,
-    eval_P,
+    eval_P_from_zeros,
     eval_P_many,
     jacobi_combination,
     jacobi_zeros,
@@ -47,7 +47,10 @@ def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
     quadrature.lp_norm_between_zeros) give the norm to 1e-12 relative up to
     n = 256; at n = 2048, 1e-10 (3e-11 at alpha = beta), the rounding of
     x = cos(theta) near the ends. Measured at p = 4 and 6 against exact Gauss
-    rules, for alpha and beta from -0.45 to 150.
+    rules, for alpha and beta from -0.45 to 150. P_n on the panels comes from
+    those zeros (jacobi.eval_P_from_zeros): a Taylor series about each zero,
+    after one recurrence pass at the zeros and the points near +-1, not one at
+    all 12 n points; its error is the recurrence's to one significant digit.
     """
     if p == 2.0:
         return 1.0
@@ -55,8 +58,8 @@ def _orthonormal_lp_norm(alpha: float, beta: float, p: float, n: int) -> float:
     dn = orthonormal_const(params, n)
     if n == 0:
         return dn * total_mass(params) ** (1.0 / p)
-    return lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, p, jacobi_zeros(params, n),
-                                 even=alpha == beta)
+    return lp_norm_between_zeros(lambda x: dn * eval_P_from_zeros(params, n, x), params, p,
+                                 jacobi_zeros(params, n), even=alpha == beta)
 
 
 def basis_scales(params: JacobiParams, mode: NormalizationMode, degrees: Sequence[int]) -> np.ndarray:

@@ -19,6 +19,9 @@ recurrence of the orthonormal p_k, which cannot overflow, and the same
 pivots give a Sturm count that certifies every zero. jacobi_zeros gives all
 of them, cached per weight and degree (the positive half only at alpha =
 beta); largest_root gives the top one by scalar Newton from above.
+eval_P_from_zeros evaluates P_n between its zeros by the Taylor series of its
+differential equation about the nearest zero, after one recurrence pass at
+those zeros in place of one at every point.
 """
 
 from __future__ import annotations
@@ -459,6 +462,85 @@ def _repair(params: JacobiParams, n: int, dl: list, o2: list, want, points, coun
         order = np.argsort(np.concatenate([points, x]), kind="stable")
         points, counts = np.concatenate([points, x])[order], np.concatenate([counts, c])[order]
     raise RuntimeError(f"zeros of P_{n} at {params} could not be isolated")
+
+
+# Below this degree the series' fixed cost (about 25 terms, each a few passes over the zeros and the
+# points) exceeds the recurrence work it saves; in lp_norm_between_zeros they break even near n = 190 to 300
+_SERIES_MIN_DEGREE = 256
+
+
+def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
+    """P_n(x) at a flat x from the zeros z of P_n (jacobi_zeros), by the Taylor series in h = x - z of
+    its differential equation (1 - x^2) y'' + v(x) y' + lam y = 0, v(x) = beta - alpha - (alpha + beta
+    + 2) x, lam = n (n + alpha + beta + 1) (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007):
+    (1 - z^2)(k + 2)(k + 1) a_{k+2} = (2zk - v(z))(k + 1) a_{k+1} + (k(k - 1) + (alpha + beta + 2) k - lam) a_k,
+    a_0 = P_n(z), the residual at the rounded zero, and a_1 = P_n'(z) by DLMF 18.9.16,
+    s (1 - z^2) P_n' = n (alpha - beta - s z) P_n + 2 (n + alpha) (n + beta) P_{n-1}, s = 2n + alpha + beta.
+    The series serves each x whose nearest zero has |h| (1 + max(alpha, beta, 0)) < (1 - |z|)/4; one
+    eval_P_many pass gives P_n and P_{n-1} at those zeros and P_n at every other x. The terms are
+    c_k = a_k H^k / (|a_1| H), H the farthest the series reaches from z, so none overflows where P_n
+    is finite; they run until two fall below the rounding of c_1 = +-1 (none is left past k = n) and
+    are summed by Horner in h / H. Blocks of _BLOCK / 8 points, each with the terms of the zeros it
+    reaches, keep the temporaries near the recurrence's. Below _SERIES_MIN_DEGREE, P_n is eval_P's.
+    """
+    x = np.atleast_1d(_check_x(x)).ravel()
+    if n < _SERIES_MIN_DEGREE:
+        return eval_P_many(params, [n], x)[0]
+    a, b = params.alpha, params.beta
+    z = jacobi_zeros(params, n)
+    mid, reach = 0.5 * (z[:-1] + z[1:]), (1.0 - np.abs(z)) / (4.0 * (1.0 + max(a, b, 0.0)))
+    blocks = [slice(lo, lo + _BLOCK // 8) for lo in range(0, x.size, _BLOCK // 8)]
+
+    def local(block):
+        """Which x of the block the series serves, and for those the nearest zero and h."""
+        near = np.searchsorted(mid, x[block])
+        h = x[block] - z[near]
+        safe = np.abs(h) < reach[near]
+        return safe, near[safe], h[safe]
+
+    used, rest = np.zeros(n, dtype=bool), []
+    for block in blocks:
+        safe, at, _ = local(block)
+        used[at] = True
+        rest.append(x[block][~safe])
+    centers = np.flatnonzero(used)
+    pn, pn1 = eval_P_many(params, [n, n - 1], np.concatenate([z[centers], *rest]))
+    gap = np.concatenate([[np.inf], 0.5 * np.diff(z), [np.inf]])  # half the distance to each neighbour
+    H = np.minimum(reach, np.maximum(gap[:-1], gap[1:]))
+    s, a0, a1 = 2.0 * n + a + b, np.zeros(n), np.zeros(n)  # a_0 and a_1, at the centers only
+    a0[centers], a1[centers] = pn[: centers.size], pn1[: centers.size]
+    with np.errstate(divide="ignore", invalid="ignore"):  # at an end zero that rounds to +-1, which serves no x
+        a1 = (n * (a - b - s * z) * a0 + 2.0 * (n + a) * (n + b) * a1) / (s * (1.0 - z) * (1.0 + z))
+        hw = H / ((1.0 - z) * (1.0 + z))
+    # c_{k+2} = ((k g - vh) c_{k+1} + (mu_k / (k + 1)) hh c_k) / (k + 2), mu_k = k (k - 1) + (a + b + 2) k - lam
+    scale = np.abs(a1) * H
+    g, vh, hh = 2.0 * z * hw, (b - a - (a + b + 2.0) * z) * hw, H * hw
+    lam, tiny = n * (n + a + b + 1.0), np.finfo(float).eps / 4.0
+    out, done = np.empty(x.size), centers.size  # done: values of the pass placed so far
+    for block in blocks:
+        safe, at, u = local(block)
+        part, outside = out[block], int(safe.size - np.count_nonzero(safe))
+        part[~safe] = pn[done:done + outside]
+        done += outside
+        zs, idx = np.unique(at, return_inverse=True)  # the zeros this block expands about
+        c, top, gz, vz, hz = [a0[zs] / scale[zs], np.sign(a1[zs])], 1.0, g[zs], vh[zs], hh[zs]
+        for k in range(n - 1):
+            nxt = np.multiply(gz, k)
+            nxt -= vz
+            nxt *= c[k + 1]
+            nxt += ((k * (k - 1.0) + (a + b + 2.0) * k - lam) / (k + 1.0)) * hz * c[k]
+            nxt /= k + 2.0
+            c.append(nxt)
+            last, top = top, np.abs(nxt).max(initial=0.0)
+            if max(last, top) <= tiny:
+                break
+        u /= H[at]
+        y, tmp = np.take(c[-1], idx), np.empty(idx.size)
+        for ck in reversed(c[:-1]):
+            y *= u
+            y += np.take(ck, idx, out=tmp)
+        part[safe] = y * scale[at]
+    return out
 
 
 def largest_root(params: JacobiParams, n: int) -> float:

@@ -10,7 +10,9 @@ Three integration paths:
   integrated by a Gauss-Jacobi rule whose weight holds the zeros of |f|^p
   at the panel ends (and, on the two end panels, the endpoint powers of
   the measure): lp_norm_between_zeros, the path of ||p_n||_p. The rule
-  between zeros is fixed; only the two end panels double theirs;
+  between zeros is fixed; only the two end panels double theirs. Its f
+  may be any function with those zeros; for p_n, greedy evaluates it from
+  the zeros themselves (jacobi.eval_P_from_zeros);
 * a composite Gauss mesh in theta = arccos x with geometric grading toward
   both endpoints, refined by doubling until two successive estimates agree.
   This is the general path: |f|^p for non-even p is not a polynomial, and

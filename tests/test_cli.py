@@ -154,7 +154,12 @@ class TestExitCodes:
              "Jacobi recurrence overflowed"),
             (["norms", "--alpha", "300", "--p", "3", "--n-min", "2048", "--n-max", "4096"],
              "Jacobi recurrence overflowed"),
-        ]],
+        ]] + [
+            # P_n is finite here, but k(theta) = sin(theta/2)^-300.5 ... is not: no NaN rows
+            pytest.param(["darboux-check", "--alpha", "300", "--n-min", "16", "--n-max", "64"],
+                         "Darboux amplitude k(theta) overflows at theta = 0.1, alpha = 300, beta = 0\n",
+                         id="darboux-check-amplitude"),
+        ],
     )
     def test_numerical_failure_exits_3(self, tmp_path, capsys, argv, message):
         # the isfinite check reports an overflow once: numpy warns of none on the way

@@ -15,6 +15,7 @@ from jacobigreedy.jacobi import (
     darboux_amplitude,
     darboux_phase,
     eval_P,
+    eval_P_from_zeros,
     eval_P_many,
     jacobi_combination,
     jacobi_matrix,
@@ -539,3 +540,50 @@ class TestJacobiZeros:
     def test_degree_below_one_raises(self, n):
         with pytest.raises(DomainError):
             jacobi_zeros(LEG, n)
+
+
+def recurrence_finite(params, n, x):
+    """Where the recurrence's P_n(x) is finite: eval_P raises if it is not at some x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, rn, ln in jacobi.jacobi_iter(params, x, n):
+            pass
+        return np.isfinite(rn * ln)
+
+
+class TestEvalPFromZeros:
+    @pytest.mark.parametrize(
+        "ab, n",
+        [(ab, n) for ab in [(0.0, 0.0), (1.0, 0.5), (-0.9, 0.5), (3.0, 301.0)] for n in (64, 1024, 4096)]
+        + [((150.0, 0.0), n) for n in (64, 1024, 2000)],
+    )
+    def test_matches_mpmath_at_panel_midpoints(self, ab, n):
+        # the theta-midpoints of the panels between zeros, where the series reaches farthest from its
+        # zero: those after the 5th, 12th and 20th zero from each end, and six spread between. 30-digit
+        # mpmath at the same rounded x; the error may be twice the recurrence's at the same points, or 1e-13
+        params = JacobiParams(*ab)
+        theta = np.arccos(jacobi_zeros(params, n))[::-1]
+        k = np.unique(np.r_[[4, 11, 19], n - 2 - np.array([4, 11, 19]), np.linspace(25, n - 27, 6).astype(int)])
+        x = np.cos(0.5 * (theta[k] + theta[k + 1]))
+        x = x[recurrence_finite(params, n, x)]  # P_4096^(3, 301) overflows near x = -1
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.jacobi(n, *ab, xi)) for xi in x])
+
+        def err(v):
+            return np.max(np.abs(v - want) / np.abs(want))
+
+        assert err(eval_P_from_zeros(params, n, x)) <= max(2.0 * err(eval_P(params, n, x)), 1e-13)
+
+    @pytest.mark.parametrize("ab, n", [((150.0, 0.0), 2000), ((3.0, 301.0), 4096)])
+    def test_finite_wherever_the_recurrence_is(self, ab, n):
+        # P_2000^(150, 0) reaches ~1e228 near x = 1; unscaled, its series coefficients a_k would overflow
+        params = JacobiParams(*ab)
+        x = np.cos(np.linspace(0.0, math.pi, 4001))
+        x = x[recurrence_finite(params, n, x)]
+        assert np.isfinite(eval_P_from_zeros(params, n, x)).all()
+
+    def test_points_in_any_order_across_blocks(self):
+        # more points than a block of the series, in random order, near the ends too: each x is expanded
+        # about its own nearest zero, or takes the recurrence
+        params, n = JacobiParams(1.0, 0.5), 1024
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 3 * (B // 8) + 5)
+        np.testing.assert_allclose(eval_P_from_zeros(params, n, x), eval_P(params, n, x), rtol=1e-10, atol=1e-12)

@@ -11,6 +11,7 @@ from jacobigreedy.jacobi import (
     JacobiParams,
     NormalizationMode,
     eval_P,
+    eval_P_from_zeros,
     eval_P_many,
     jacobi_matrix,
     jacobi_zeros,
@@ -383,6 +384,22 @@ class TestNormBetweenZeros:
             exact = rule.integrate(lambda x: np.abs(dn * eval_P(params, n, x)) ** p) ** (1 / p)
             assert _orthonormal_lp_norm(*ab, float(p), n) == pytest.approx(exact, rel=5e-12)
 
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5), (-0.45, 0.2), (3.0, 3.0), (0.0, 20.0), (-0.9, 0.5)])
+    def test_no_less_accurate_than_the_recurrence(self, ab):
+        # against the exact (p n / 2 + 1)-node rule, _orthonormal_lp_norm (P_n from its zeros) is within
+        # one significant digit of the error of the same panels with the recurrence at every node
+        params = JacobiParams(*ab)
+        for n in (8, 64, 256, 1024):
+            dn, zeros = orthonormal_const(params, n), jacobi_zeros(params, n)
+            for p in (4, 6):
+                rule = gauss_jacobi_rule(params, p * n // 2 + 1)
+                vals = np.abs(dn * eval_P(params, n, rule.nodes))
+                exact = vals.max() * float(np.dot(rule.weights, (vals / vals.max()) ** p)) ** (1 / p)
+                recurrence = lp_norm_between_zeros(lambda x: dn * eval_P(params, n, x), params, p, zeros,
+                                                   even=ab[0] == ab[1])
+                got = _orthonormal_lp_norm(*ab, float(p), n)
+                assert abs(got / exact - 1) <= 1.1 * abs(recurrence / exact - 1) + 1e-15
+
     def test_peaked_end_panel_refines(self):
         # at beta = 150, p = 20 the end panel at pi holds a narrow peak: a fixed
         # 32-point rule is 98 % off and 64 points 23 %; the exact rule needs p n / 2 + 1 nodes
@@ -593,9 +610,9 @@ class TestEvenFold:
         zeros = jacobi_zeros(params, n)
         points = []
 
-        def f(x):
+        def f(x):  # the evaluator _orthonormal_lp_norm integrates
             points.append(x.size)
-            return dn * eval_P(params, n, x)
+            return dn * eval_P_from_zeros(params, n, x)
 
         for p in (1.5, 3.0, 4.0, 7.3):
             points.clear()
@@ -613,6 +630,6 @@ class TestEvenFold:
                 # 0.5); the fold doubles one end's rounding where the full rule has two. Both
                 # must stay within the 1e-10 that _orthonormal_lp_norm documents at this size.
                 rule = gauss_jacobi_rule(params, 2 * n + 1)  # |p_n|^4 has degree 4n
-                exact = rule.integrate(lambda x: f(x) ** 4) ** 0.25
+                exact = rule.integrate(lambda x: np.abs(dn * eval_P(params, n, x)) ** 4) ** 0.25
                 assert folded == pytest.approx(exact, rel=1e-10)
                 assert unfolded == pytest.approx(exact, rel=1e-10)
