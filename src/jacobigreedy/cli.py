@@ -22,8 +22,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import __version__
 from .jacobi import JacobiParams, NormalizationMode
 from .quadrature import ConvergenceError, EvaluationError
@@ -34,7 +32,6 @@ from .experiments import (
     block_sum_experiment,
     darboux_envelope,
     geometric_grid,
-    geometric_sum_identity_check,
     main_theorem_witness,
     near_one_experiment,
     norm_regimes_experiment,
@@ -87,7 +84,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = kind(v)
         except (TypeError, ValueError):
             raise ValueError(f"{key}={json.dumps(v)} is not a valid {kind.__name__}") from None
-    if cfg["seed"] < 0:  # numpy's own message would not name the seed
+    if cfg.get("seed", 0) < 0:  # numpy's own message would not name the seed
         raise ValueError(f"seed={cfg['seed']} must be >= 0")
     return cfg
 
@@ -215,22 +212,6 @@ def _darboux_check(cfg: dict):
     return rows, fields, None, f"envelope_growth={growth:.4f} (bounded if ~<= 2)"
 
 
-def _identity_check(cfg: dict):
-    params = _params(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    trials, n_cap = cfg["trials"], cfg["N_max"]
-    for key in ("N_max", "trials"):
-        if cfg[key] < 1:
-            raise ValueError(f"{key}={cfg[key]} must be >= 1")
-    worst: dict[int, float] = {}
-    per_call = max(1, trials // n_cap)
-    for N in range(1, n_cap + 1):
-        th = rng.uniform(0.01, math.pi - 0.01, size=per_call)
-        worst[N] = geometric_sum_identity_check(N, th, params)
-    overall = max(worst.values())
-    return sorted(worst.items()), {"max_deviation": overall}, None, f"max_deviation={overall:.3e}"
-
-
 class Command(NamedTuple):
     keys: dict  # the config keys the command reads, each with its default
     header: tuple[str, ...]
@@ -242,7 +223,7 @@ class Command(NamedTuple):
 COMMANDS: dict[str, Command] = {
     "norms": Command(dict(alpha=0.0, beta=0.0, seed=0, p=2.0, n_min=64, n_max=4096), ("n", "norm"), _norms),
     "block-sum": Command(
-        dict(alpha=0.0, beta=0.0, seed=0, p=2.0, tol=1e-6, N_min=8, N_max=512), ("N", "norm"), _block_sum
+        dict(alpha=0.0, beta=0.0, p=2.0, tol=1e-6, N_min=8, N_max=512), ("N", "norm"), _block_sum
     ),
     "average-block": Command(
         dict(alpha=0.0, beta=0.0, seed=0, p=2.0, mode="orthonormal", samples=64, tol=1e-6,
@@ -261,9 +242,6 @@ COMMANDS: dict[str, Command] = {
     ),
     "darboux-check": Command(
         dict(alpha=0.0, beta=0.0, seed=0, n_min=16, n_max=512), ("n", "max_scaled_error"), _darboux_check
-    ),
-    "identity-check": Command(
-        dict(alpha=0.0, beta=0.0, seed=0, trials=10000, N_max=64), ("N", "max_deviation"), _identity_check
     ),
 }
 

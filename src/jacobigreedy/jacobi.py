@@ -237,7 +237,7 @@ def total_mass(params: JacobiParams) -> float:
 
 
 def _log_beta(a: float, b: float) -> float:
-    """log B(a, b) for a, b > 0. Above 10 the lgamma terms, each up to ~2300, would cancel to a
+    """log B(a, b) for a, b > 0. Above 10 the lgamma terms, which grow like x log x, would cancel to a
     far smaller sum, so there they are split (as in R's lbeta) into closed logarithms and the
     remainders of Stirling's series, which are small."""
     p, q = min(a, b), max(a, b)
@@ -260,22 +260,16 @@ def _stirling_rest(x: float) -> float:
 def orthonormal_const(params: JacobiParams, n: int) -> float:
     """d_n with p_n = d_n P_n orthonormal in L2(mu); d_n ~ sqrt(n) for large n.
 
-    d_0 = total_mass^{-1/2}; the others are evaluated through log-gamma so
-    large n does not overflow.
+    d_0 = total_mass^{-1/2}; for n >= 1, d_n^2 = (2n+alpha+beta+1) 2^{-(alpha+beta+1)}
+    B(n+1, n+alpha+beta+1) / B(n+alpha+1, n+beta+1), in logs so large n does not overflow.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return total_mass(params) ** -0.5
     a, b = params.alpha, params.beta
-    log_d2 = (
-        math.log(2.0 * n + a + b + 1.0)
-        + math.lgamma(n + 1.0)
-        + math.lgamma(n + a + b + 1.0)
-        - (a + b + 1.0) * math.log(2.0)
-        - math.lgamma(n + a + 1.0)
-        - math.lgamma(n + b + 1.0)
-    )
+    log_d2 = (math.log(2.0 * n + a + b + 1.0) - (a + b + 1.0) * math.log(2.0)
+              + _log_beta(n + 1.0, n + a + b + 1.0) - _log_beta(n + a + 1.0, n + b + 1.0))
     return math.exp(0.5 * log_d2)
 
 
@@ -304,6 +298,8 @@ def near_one_window(n: int, d: float = 0.5) -> tuple[float, float]:
         raise DomainError("n must be >= 1")
     if not (math.isfinite(d) and d > 0):  # nan and inf pass d <= 0
         raise DomainError(f"d={d} must be finite and > 0")
+    if d > 2 * n**2:  # the window would reach below x = -1
+        raise DomainError(f"d={d:g} is wider than 2 n^2 = {2 * n**2} at n = {n}")
     return (1.0 - d / n**2, 1.0)
 
 

@@ -167,11 +167,16 @@ def _end_panels(theta: np.ndarray, params: JacobiParams, p: float, m: int):
     h0, h1 = 0.5 * theta[0], 0.5 * (math.pi - theta[-1])
     t0 = h0 * (1.0 + s0)  # theta = 0 at s = -1
     t1 = math.pi - h1 * (1.0 - s1)  # theta = pi at s = 1
-    root = np.concatenate([
-        (np.sin(t0 / 2.0) / (1.0 + s0)) ** ea * np.cos(t0 / 2.0) ** eb / (1.0 - s0),
-        np.sin(t1 / 2.0) ** ea * (np.sin(h1 * (1.0 - s1) / 2.0) / (1.0 - s1)) ** eb / (1.0 + s1),
-    ])
-    return np.concatenate([t0, t1]), root, np.concatenate([h0 * first.weights, h1 * last.weights])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 or 0^-e, reported below
+        roots = ((np.sin(t0 / 2.0) / (1.0 + s0)) ** ea * np.cos(t0 / 2.0) ** eb / (1.0 - s0),
+                 np.sin(t1 / 2.0) ** ea * (np.sin(h1 * (1.0 - s1) / 2.0) / (1.0 - s1)) ** eb / (1.0 + s1))
+    # with alpha or beta within rounding of -1, a node rounds onto the panel's end (s = -+1), or the
+    # zero nearest it onto x = +-1 (an empty panel)
+    for root, name, e, end in zip(roots, ("alpha", "beta"), (a, b), (1, -1)):
+        if not np.isfinite(root).all():
+            raise EvaluationError(f"end panel at x = {end} is singular: {name} = {e!r} is too close to -1")
+    weights = np.concatenate([h0 * first.weights, h1 * last.weights])
+    return np.concatenate([t0, t1]), np.concatenate(roots), weights
 
 
 def _abs_on(f, pieces, even: bool) -> list:

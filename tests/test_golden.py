@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from jacobigreedy import Expansion, JacobiParams, NormalizationMode, democracy_scan, quasi_greedy_ratio
-from jacobigreedy.cli import main
+from jacobigreedy.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,7 +57,6 @@ CASES = {
     "darboux-check": ["darboux-check", "--n-min", "16", "--n-max", "64"],
     "darboux-check-alpha1-beta0.5": ["darboux-check", "--alpha", "1", "--beta", "0.5", "--n-min",
                                      "16", "--n-max", "256"],
-    "identity-check": ["identity-check", "--trials", "200", "--N-max", "16", "--seed", "3"],
     "witness-p2": [*WITNESS, "--p", "2"],
     "witness-p3": [*WITNESS, "--p", "3"],
 }
@@ -120,6 +119,11 @@ def test_golden(case, tmp_path):
 
 
 API_CASE = GOLDEN / "api-greedy" / "greedy.json"
+
+
+def test_every_command_and_golden_directory_has_a_case():
+    assert {argv[0] for argv in CASES.values()} == COMMANDS.keys()
+    assert {d.name for d in GOLDEN.iterdir() if d.is_dir()} == {*CASES, API_CASE.parent.name}
 
 
 def api_case() -> dict:

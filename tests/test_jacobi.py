@@ -251,6 +251,22 @@ class TestOrthonormalConst:
                     worst = max(worst, abs(float(orthonormal_const(JacobiParams(a, b), 0) / exact - 1)))
         assert worst <= 5e-14
 
+    @pytest.mark.parametrize("ab", [(0, 0), (1, 0.5), (0.5, 0.5), (3, 301), (150, 0), (-0.9, 0.5), (40, 3)])
+    def test_matches_mpmath_for_n_at_least_one(self, ab):
+        # a sum of six lgamma terms, each up to ~3e4, was 3.4e-12 to 1.1e-11 off here
+        a, b = ab
+        ns = [*np.random.default_rng(3).integers(1, 4097, size=60), 1, 2, 4096]
+        worst = 0.0
+        with mpmath.workdps(40):
+            A, B = mpmath.mpf(a), mpmath.mpf(b)
+            for n in ns:
+                log_d2 = (mpmath.log((2 * n + A + B + 1) / mpmath.power(2, A + B + 1))
+                          + mpmath.loggamma(n + 1) + mpmath.loggamma(n + A + B + 1)
+                          - mpmath.loggamma(n + A + 1) - mpmath.loggamma(n + B + 1))
+                exact = mpmath.exp(log_d2 / 2)
+                worst = max(worst, abs(float(orthonormal_const(JacobiParams(a, b), int(n)) / exact - 1)))
+        assert worst <= 2e-12
+
     def test_large_n_sqrt_asymptotics(self):
         v = orthonormal_const(LEG, 10_000)
         assert abs(v / math.sqrt(10_000) - 1) < 0.01
@@ -317,6 +333,11 @@ class TestDarboux:
 class TestNearOne:
     def test_window_arithmetic(self):
         assert near_one_window(10, 1.0) == (0.99, 1.0)
+
+    def test_window_reaches_minus_one_and_no_further(self):
+        assert near_one_window(10, 200.0) == (-1.0, 1.0)
+        with pytest.raises(DomainError, match=r"d=200\.5 is wider than 2 n\^2 = 200 at n = 10"):
+            near_one_window(10, 200.5)
 
     def test_legendre_ratio_envelope(self):
         (_, lo, hi), = near_one_experiment(LEG, (10, 40, 160, 640), d_sweep=(0.5,)).rows

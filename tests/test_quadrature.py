@@ -400,6 +400,17 @@ class TestNormBetweenZeros:
                 got = _orthonormal_lp_norm(*ab, float(p), n)
                 assert abs(got / exact - 1) <= 1.1 * abs(recurrence / exact - 1) + 1e-15
 
+    @pytest.mark.parametrize("n", [1, 8, 64, 1024])
+    @pytest.mark.parametrize("ab, shown", [((-1 + 1e-15, 0.0), "x = 1 is singular: alpha = "),
+                                           ((0.0, -1 + 1e-15), "x = -1 is singular: beta = ")],
+                             ids=["alpha", "beta"])
+    def test_weight_within_rounding_of_minus_one(self, ab, shown, n):
+        # at n = 1 an end-panel node rounds onto s = -+1; from n = 8 on, the end zero rounds onto x = +-1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=f"^end panel at {shown}-0.999999999999999 is too close"):
+                _orthonormal_lp_norm(*ab, 3.0, n)
+
     def test_peaked_end_panel_refines(self):
         # at beta = 150, p = 20 the end panel at pi holds a narrow peak: a fixed
         # 32-point rule is 98 % off and 64 points 23 %; the exact rule needs p n / 2 + 1 nodes
