@@ -16,9 +16,11 @@ The zeros of P_n, the eigenvalues of the Jacobi matrix, need no eigenvalue
 solver: Newton's method from asymptotic guesses (Hale & Townsend, SIAM J.
 Sci. Comput. 35, 2013) takes its steps from the pivots of J - xI, the ratio
 recurrence of the orthonormal p_k, which cannot overflow, and the same
-pivots give a Sturm count that certifies every zero. jacobi_zeros gives all
-of them, cached per weight and degree (the positive half only at alpha =
-beta); largest_root gives the top one by scalar Newton from above.
+pivots give a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
+that certifies every zero, taken in the first Newton sweep at the midpoints
+between the guesses. jacobi_zeros gives all of them,
+cached per weight and degree (the positive half only at alpha = beta);
+largest_root gives the top one by scalar Newton from above.
 eval_P_from_zeros evaluates P_n between its zeros by the Taylor series of its
 differential equation about the nearest zero, after one recurrence pass at
 those zeros in place of one at every point.
@@ -324,25 +326,41 @@ def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]
     return diag, np.sqrt(off2)
 
 
-def _pivots(diag: list, off2: list, x: np.ndarray, count: bool = False):
+# Steps whose pivot signs _pivots holds before summing them into the count: 64 bytes a counted point, and one
+# uint8 sum per 64 steps in place of an integer add at every step, which costs about as much as the step
+_RING = 64
+
+
+def _pivots(diag: list, off2: list, x: np.ndarray, count: bool | slice = False):
     """Last pivot of the LDL^T factorisation of J - xI at every x, J the len(diag) Jacobi matrix.
 
     The pivots q_0 = diag[0] - x, q_k = diag[k] - x - off2[k-1] / q_{k-1} are the ratios
     -off[k] p_{k+1}(x) / p_k(x) of the orthonormal recurrence, so none overflows where P_n would
     (a zero pivot makes the next -inf and the one after finite again). With count, also the number
-    of negative pivots: by Sylvester's law of inertia, the number of zeros of P_len(diag) below x.
+    of negative pivots at every x, or at x[count] only for a slice: by Sylvester's law of inertia,
+    the number of zeros of P_len(diag) below x. A step is two ufunc calls when the diagonal is 0
+    (alpha = beta: diag[k] - x is then q_0 at every k), else three; the signs of the counted pivots
+    go into a ring of _RING rows, summed once it is full.
     """
     y = -x
     q = y + diag[0]
-    t = np.empty_like(q)
-    neg = (q < 0).astype(np.intp) if count else None
+    t, y0 = np.empty_like(q), None if any(diag) else q.copy()  # y0 = diag[k] - x at every k
+    signs = None if count is False else q[slice(None) if count is True else count]  # a view of q, updated in place
+    neg = None if signs is None else (signs < 0).astype(np.intp)
+    ring = np.empty((_RING, 0 if signs is None else signs.size), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for d, o in zip(diag[1:], off2):
-            np.divide(o, q, out=t)
-            np.add(y, d, out=q)
-            q -= t
-            if count:
-                neg += q < 0
+        for lo in range(1, len(diag), _RING):
+            for d, o, bits in zip(diag[lo:lo + _RING], off2[lo - 1:lo - 1 + _RING], ring):
+                np.divide(o, q, out=t)
+                if y0 is None:
+                    np.add(y, d, out=q)
+                    q -= t
+                else:
+                    np.subtract(y0, t, out=q)
+                if signs is not None:
+                    np.less(signs, 0.0, out=bits)
+            if signs is not None:
+                neg += np.add.reduce(ring[:len(diag) - lo].view(np.uint8), axis=0, dtype=np.uint8)
     return q, neg
 
 
@@ -376,18 +394,28 @@ def _zero_guesses(params: JacobiParams, n: int, m: int) -> np.ndarray:
     return np.cos(np.clip(theta, 0.0, math.pi))
 
 
+# Newton passes over at most this many zeros take the scalar _pivot: a vector pass costs as much as 12 scalar
+# ones at alpha = beta (two ufunc calls a step) and 18 otherwise (three), at n from 128 to 4096 (numpy 2.4, one
+# core of an Intel Xeon)
+_SCALAR_NEWTON = 12
+
+
 @lru_cache(maxsize=64)
 def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     """The n zeros of P_n in ascending order, cached per (params, n) and read-only, as callers share them.
 
     Newton's method from the interior asymptotic guesses (_zero_guesses), vectorised over the zeros,
     each step from the pivot recurrence of the Jacobi matrix (_pivots, _newton_step), O(n) per zero;
-    a zero stops once its step is far below rounding (_done). At alpha = beta only the n // 2 positive
-    zeros are solved and mirrored, with an exact 0 in the middle at odd n. One Sturm count at the
-    midpoints between neighbouring zeros then certifies each: its interval holds exactly one zero of
-    P_n, within (n + 1) |last step| of it (Laguerre: some zero z has |x - z| <= n |P_n / P_n'|). A zero
-    that fails, or whose Newton steps left its range or stopped shrinking, is found again by bisection
-    on the count and Newton (_repair); one that cannot be certified raises RuntimeError.
+    a zero stops once its step is far below rounding (_done), and a pass over at most _SCALAR_NEWTON
+    zeros takes the scalar _pivot, which gives the same bits. At alpha = beta only the n // 2 positive
+    zeros are solved and mirrored, with an exact 0 in the middle at odd n. The first sweep also takes
+    a Sturm count at the midpoints between neighbouring guesses, on a probe slice of the same _pivots
+    call. A count at a point is a fact about the matrix, whatever chose the point, so it certifies
+    each zero whose interval holds exactly one zero of P_n, within (n + 1) |last step| of it
+    (Laguerre: some zero z has |x - z| <= n |P_n / P_n'|). Only if some zero fails is the count taken
+    again at the midpoints between the converged zeros; a zero that fails that too, or whose Newton
+    steps left its range or stopped shrinking, is found again by bisection on the count and Newton
+    (_repair); one that cannot be certified raises RuntimeError.
     """
     diag, off = jacobi_matrix(params, n)
     if n == 1:
@@ -399,11 +427,19 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     fence, below = (0.0, n // 2) if even else (-1.0, 0)  # lower end of the solved zeros, zeros under it
     want = n - m + np.arange(m)  # index of each solved zero among all n
     x = _zero_guesses(params, n, m)
+    probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)  # between neighbouring guesses
     step = np.full(m, np.inf)  # last Newton step of each zero; inf where Newton gave up
-    todo = np.arange(m)
+    todo, counts = np.arange(m), None
     while todo.size:
         xs = x[todo]
-        s = _newton_step(params, n, xs, _pivots(dl, o2, xs)[0])
+        if counts is None:  # the first sweep also counts at the probes
+            q, counts = _pivots(dl, o2, np.concatenate([xs, probes]), slice(m, None))
+            q = q[:m]
+        elif todo.size <= _SCALAR_NEWTON:
+            q = np.array([_pivot(dl, o2, v)[0] for v in xs.tolist()])
+        else:
+            q = _pivots(dl, o2, xs)[0]
+        s = _newton_step(params, n, xs, q)
         new = xs - s
         # a step that leaves the range, or is not below half the one before, gives the zero up to _repair;
         # an end zero may round to -1 or 1 when alpha or beta is near -1
@@ -411,24 +447,31 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
         x[todo[ok]] = new[ok]
         step[todo] = np.where(ok, np.abs(s), np.inf)
         todo = todo[ok & ~_done(params, n, new, s)]
-    for _ in range(3):  # a repaired zero passes the second count
-        order = np.argsort(x, kind="stable")
-        x, step = x[order], step[order]
-        probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)
-        counts = _pivots(dl, o2, probes, count=True)[1]
+
+    def uncertified(probes, counts):
+        """Where zero k is not alone in [probes[k], probes[k + 1]) by the counts, or its Laguerre margin
+        leaves that interval."""
         edges = np.append(probes, np.inf)  # the interval of each zero; no zero lies at or above 1
         if not even:  # nor at or below -1, where a rounded J may count one when beta is near -1
             probes[0], counts[0], edges[0] = fence, below, -np.inf
         bad = (counts != want) | (np.append(counts[1:], n) != want + 1)
-        bad |= ~((n + 1.0) * np.abs(step) < np.minimum(x - edges[:-1], edges[1:] - x))
-        if not bad.any():
-            break
-        # a probe next to a failed zero may lie on a zero, which would hold Newton to bisection there
-        clean = ~bad & np.append(True, ~bad[:-1])
-        x[bad], step[bad] = _repair(params, n, dl, o2, want[bad], np.concatenate([[fence], probes[clean], [1.0]]),
-                                    np.concatenate([[below], counts[clean], [n]]))
-    else:
-        raise RuntimeError(f"zeros of P_{n} at {params} could not be certified")
+        return bad | ~((n + 1.0) * np.abs(step) < np.minimum(x - edges[:-1], edges[1:] - x))
+
+    if uncertified(probes, counts).any():  # else the first sweep's counts certify every zero
+        for _ in range(3):  # a repaired zero passes the second count
+            order = np.argsort(x, kind="stable")
+            x, step = x[order], step[order]
+            probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)
+            counts = _pivots(dl, o2, probes, count=True)[1]
+            bad = uncertified(probes, counts)
+            if not bad.any():
+                break
+            # a probe next to a failed zero may lie on a zero, which would hold Newton to bisection there
+            clean = ~bad & np.append(True, ~bad[:-1])
+            x[bad], step[bad] = _repair(params, n, dl, o2, want[bad], np.concatenate([[fence], probes[clean], [1.0]]),
+                                        np.concatenate([[below], counts[clean], [n]]))
+        else:
+            raise RuntimeError(f"zeros of P_{n} at {params} could not be certified")
     zeros = np.concatenate([-x[::-1], np.zeros(n % 2), x]) if even else x
     zeros.flags.writeable = False
     return zeros

@@ -105,6 +105,15 @@ _GRADING_LEVELS = 36  # smallest graded panel is ~g^-36 of the core panel
 _MAX_REFINE = 7  # mesh doublings before _converge gives up
 
 
+@lru_cache(maxsize=1)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] for every panel, read-only: built on first use, not at
+    import, which would load numpy.polynomial for the commands that make no mesh."""
+    gx, gw = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
 def theta_mesh(degree: int = 0, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and d-theta weights on (0, pi) at the given refinement level.
 
@@ -116,7 +125,7 @@ def theta_mesh(degree: int = 0, level: int = 0) -> tuple[np.ndarray, np.ndarray]
     bp = np.linspace(0.0, math.pi, n_core + 1)
     graded = bp[1] * _GRADING ** (-np.arange(_GRADING_LEVELS, 0, -1, dtype=float))
     bp = np.concatenate([[0.0], graded, bp[1:-1], math.pi - graded[::-1], [math.pi]])
-    gx, gw = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
+    gx, gw = _panel_rule()
     lo, hi = bp[:-1], bp[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)

@@ -437,7 +437,76 @@ def mp_top_zero_rounds_to_one(params, n):
         return mp_P_ab(params, n, 1 - mpmath.mpf("1e-17"))[0] * mp_P_ab(params, n, 1)[0] < 0
 
 
+def two_sweep_zeros(params, n):
+    """jacobi_zeros as solved before the first sweep counted: Newton until _done, one count at the
+    midpoints of the converged zeros, then _repair; jacobi_zeros must give the same bits."""
+    diag, off = jacobi_matrix(params, n)
+    if n == 1:
+        return diag
+    even = params.alpha == params.beta
+    m = n // 2 if even else n
+    dl, o2 = diag.tolist(), (off * off).tolist()
+    fence, below = (0.0, n // 2) if even else (-1.0, 0)
+    want = n - m + np.arange(m)
+    x = jacobi._zero_guesses(params, n, m)
+    step, todo = np.full(m, np.inf), np.arange(m)
+    while todo.size:
+        xs = x[todo]
+        s = jacobi._newton_step(params, n, xs, jacobi._pivots(dl, o2, xs)[0])
+        new = xs - s
+        ok = (new > fence if even else new >= -1.0) & (new <= 1.0) & ~(np.abs(s) > 0.5 * step[todo])
+        x[todo[ok]] = new[ok]
+        step[todo] = np.where(ok, np.abs(s), np.inf)
+        todo = todo[ok & ~jacobi._done(params, n, new, s)]
+    for _ in range(3):
+        order = np.argsort(x, kind="stable")
+        x, step = x[order], step[order]
+        probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)
+        counts = jacobi._pivots(dl, o2, probes, count=True)[1]
+        edges = np.append(probes, np.inf)
+        if not even:
+            probes[0], counts[0], edges[0] = fence, below, -np.inf
+        bad = (counts != want) | (np.append(counts[1:], n) != want + 1)
+        bad |= ~((n + 1.0) * np.abs(step) < np.minimum(x - edges[:-1], edges[1:] - x))
+        if not bad.any():
+            break
+        clean = ~bad & np.append(True, ~bad[:-1])
+        x[bad], step[bad] = jacobi._repair(params, n, dl, o2, want[bad],
+                                           np.concatenate([[fence], probes[clean], [1.0]]),
+                                           np.concatenate([[below], counts[clean], [n]]))
+    else:
+        raise RuntimeError("not certified")
+    return np.concatenate([-x[::-1], np.zeros(n % 2), x]) if even else x
+
+
+ORACLE_WEIGHTS = [(0.0, 0.0), (1.0, 0.5), (0.5, 0.0), (-0.45, 3.0), (3.0, 3.0), (-0.9, 0.5), (-0.9, -0.9)]
+
+
 class TestJacobiZeros:
+    @pytest.mark.parametrize("n", [2, 7, 64, 255, 1024, 1025, 4096])
+    @pytest.mark.parametrize("ab", ORACLE_WEIGHTS)
+    def test_same_bits_as_two_sweep_solve(self, ab, n, monkeypatch):
+        # and at (0, 0) and (1, 0.5), the first Newton sweep's counts at the probes between the guesses
+        # certify every zero: one counted sweep, no recount
+        pivots, counted = jacobi._pivots, []
+
+        def recorded(diag, off2, x, count=False):
+            if count is not False:
+                counted.append(count)
+            return pivots(diag, off2, x, count)
+
+        params = JacobiParams(*ab)
+        monkeypatch.setattr(jacobi, "_pivots", recorded)
+        jacobi_zeros.cache_clear()
+        try:
+            zeros = jacobi_zeros(params, n)
+        finally:
+            jacobi_zeros.cache_clear()
+        if ab in [(0.0, 0.0), (1.0, 0.5)] and n in (64, 1024, 4096):
+            assert len(counted) == 1 and isinstance(counted[0], slice)
+        monkeypatch.undo()
+        assert np.array_equal(zeros, two_sweep_zeros(params, n))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 1024, 1025, 4096])
     @pytest.mark.parametrize("a", [-0.9, -0.45, 0.0, 0.5, 3.0, 150.0])
     def test_even_weight_matches_full_solve(self, a, n):
@@ -474,11 +543,19 @@ class TestJacobiZeros:
     def test_sturm_count_is_the_number_of_eigenvalues_below(self, ab, n):
         params = JacobiParams(*ab)
         diag, off = jacobi_matrix(params, n)
+        dl, o2 = diag.tolist(), (off * off).tolist()
         full = eigh_tridiagonal(diag, off, eigvals_only=True)
         x = np.concatenate([np.linspace(-1.0, 1.0, 100), 0.5 * (full[1:] + full[:-1])])
-        counts = jacobi._pivots(diag.tolist(), (off * off).tolist(), x, count=True)[1]
+        q, counts = jacobi._pivots(dl, o2, x, count=True)
         np.testing.assert_array_equal(counts, np.searchsorted(full, x))
-        assert [jacobi._pivot(diag.tolist(), (off * off).tolist(), v)[1] for v in x[:20]] == list(counts[:20])
+        assert np.array_equal(jacobi._pivots(dl, o2, x, slice(100, None))[1], counts[100:])
+        # the scalar pivots are the vector ones bit for bit (Newton takes either), also at alpha = beta,
+        # where the vector step skips the zero diagonal; here and at the Newton guesses
+        x = np.concatenate([x, jacobi._zero_guesses(params, n, n)])
+        q, counts = jacobi._pivots(dl, o2, x, count=True)
+        scalar = [jacobi._pivot(dl, o2, v) for v in x.tolist()]
+        assert np.array_equal(q, [v for v, _ in scalar])
+        assert counts.tolist() == [c for _, c in scalar]
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5), (0.0, 150.0)])
     def test_bad_guesses_are_repaired_by_count(self, ab, monkeypatch):
