@@ -193,7 +193,7 @@ def eval_P_many(params: JacobiParams, degrees, x) -> np.ndarray:
     """Stack P_n(x) for the requested degrees: shape (len(degrees), len(x)).
 
     One pass of the recurrence up to max(degrees); degrees may repeat and
-    need not be sorted.
+    need not be sorted. No degrees give no rows.
     """
     return _rows(params, list(degrees), np.atleast_1d(_check_x(x)).ravel())
 
@@ -207,7 +207,7 @@ def _rows(params: JacobiParams, degrees: list, x: np.ndarray) -> np.ndarray:
         want.setdefault(int(d), []).append(i)
     out = np.empty((len(degrees), x.size))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
-        for block, steps in _blocks(params, x, max(want)):
+        for block, steps in _blocks(params, x, max(want, default=0)):
             for n, rn, ln in steps:
                 for i in want.get(n, ()):
                     np.multiply(rn, ln, out=out[i, block])

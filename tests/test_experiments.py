@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobigreedy import jacobi
+from jacobigreedy import experiments, jacobi
 from jacobigreedy.jacobi import JacobiParams, NormalizationMode
 from jacobigreedy.experiments import (
     ExperimentConfig,
@@ -182,6 +182,18 @@ class TestAverageBlock:
             average_block_experiment(cfg)
 
 
+def near_one_rows_per_degree(params, n_grid, d_sweep):
+    """Oracle for near_one_experiment's rows: one eval_P per degree on its own windows, and a
+    running min and max over the degrees."""
+    ds = sorted(d_sweep, reverse=True)
+    lo, hi = np.full(len(ds), math.inf), np.full(len(ds), -math.inf)
+    for n in n_grid:
+        windows = np.reshape([np.linspace(*jacobi.near_one_window(n, d), 33) for d in ds], (len(ds), 33))
+        ratios = jacobi.eval_P(params, n, windows) / float(n) ** params.alpha
+        lo, hi = np.minimum(lo, ratios.min(axis=1)), np.maximum(hi, ratios.max(axis=1))
+    return tuple((float(d), float(a), float(b)) for d, a, b in zip(ds, lo, hi))
+
+
 class TestNearOne:
     def test_legendre_upper_envelope_is_one(self):
         res = near_one_experiment(LEG, (10, 20, 40), d_sweep=(0.5,))
@@ -194,6 +206,29 @@ class TestNearOne:
         res = near_one_experiment(LEG, (10, 20, 40, 80, 160), d_sweep=(0.5,))
         assert res.root_fit.slope == pytest.approx(-2.0, abs=0.06)
 
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.5, 0.5), (-0.4, 2.0)])
+    def test_rows_bit_identical_to_per_degree_passes(self, ab):
+        params, n_grid, d_sweep = JacobiParams(*ab), (40, 10, 160, 40), (0.125, 0.5, 0.25)
+        res = near_one_experiment(params, n_grid, d_sweep)
+        assert res.rows == near_one_rows_per_degree(params, n_grid, d_sweep)
+
+    def test_far_windows_of_a_low_degree_do_not_overflow(self):
+        # at beta = 300 and d = 200 the window of n = 10 is all of [-1, 1], where P_1280(-1) =
+        # binom(1580, 1280) overflows; the pass runs P_1280 there too, but reads it only at n = 1280's
+        # own windows
+        params, n_grid, d_sweep = JacobiParams(0.0, 300.0), (10, 1280), (200.0, 100.0, 50.0)
+        res = near_one_experiment(params, n_grid, d_sweep)
+        assert res.rows == near_one_rows_per_degree(params, n_grid, d_sweep)
+        assert np.isfinite(res.rows).all()
+        # where that value is read, at n = 1280's own window [-1, 1], the overflow is reported
+        with pytest.raises(OverflowError, match="^Jacobi recurrence overflowed$"):
+            near_one_experiment(params, (1280, 2560), d_sweep=(2 * 1280**2,))
+
+    @pytest.mark.parametrize("n_grid", [(), (40,)])
+    def test_fewer_than_two_degrees_cannot_be_fitted(self, n_grid):
+        with pytest.raises(ValueError, match=r"^need at least two \(x, y\) samples$"):
+            near_one_experiment(LEG, n_grid)
+
 
 class TestDarbouxEnvelope:
     def test_envelope_flat_for_legendre(self):
@@ -201,10 +236,13 @@ class TestDarbouxEnvelope:
         vals = [v for _, v in rows]
         assert max(vals) <= 2 * vals[0]
 
+    def test_no_degrees_no_rows(self):
+        assert darboux_envelope(JacobiParams(1.0, 0.5), []) == []
+
 
 class TestRecurrencePasses:
-    """Each pointwise experiment starts one recurrence per degree at most: near-one one pass per n
-    for all its windows, darboux-check one pass for its whole grid."""
+    """Each pointwise experiment starts one recurrence for its whole grid: near-one for every window
+    of every degree, darboux-check for every theta."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -215,13 +253,13 @@ class TestRecurrencePasses:
             started.append(nmax)
             return kernel(params, x, nmax)
 
-        monkeypatch.setattr(jacobi, "jacobi_iter", counted)
+        for module in (jacobi, experiments):  # the evaluators' kernel, and near-one's own pass
+            monkeypatch.setattr(module, "jacobi_iter", counted)
         return started
 
-    def test_near_one_one_pass_per_degree(self, passes):
-        n_grid = (10, 20, 40, 80)
-        near_one_experiment(JacobiParams(1.5, 0.5), n_grid, d_sweep=(0.5, 0.25, 0.125))
-        assert passes == list(n_grid)
+    def test_near_one_one_pass(self, passes):
+        near_one_experiment(JacobiParams(1.5, 0.5), (40, 10, 160, 40), d_sweep=(0.5, 0.25, 0.125))
+        assert passes == [160]
 
     def test_darboux_one_pass(self, passes):
         darboux_envelope(JacobiParams(1.0, 0.5), (16, 32, 64, 128))

@@ -168,6 +168,11 @@ class TestBlockedKernel:
         for row, d in zip(rows, degrees):
             assert np.array_equal(row, reference_P(self.PARAMS, d, x))
 
+    @pytest.mark.parametrize("x", [0.37, [0.37, -0.2, 1.0]])
+    def test_eval_many_no_degrees_no_rows(self, x):
+        rows = eval_P_many(self.PARAMS, [], x)
+        assert rows.shape == (0, np.size(x))
+
     def test_combination_across_blocks(self):
         x = np.cos(np.linspace(0.0, math.pi, B + 5))
         coeffs = {0: 0.5, 4: -1.25, 9: 2.0}
