@@ -515,12 +515,12 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
     (1 - z^2)(k + 2)(k + 1) a_{k+2} = (2zk - v(z))(k + 1) a_{k+1} + (k(k - 1) + (alpha + beta + 2) k - lam) a_k,
     a_0 = P_n(z), the residual at the rounded zero, and a_1 = P_n'(z) by DLMF 18.9.16,
     s (1 - z^2) P_n' = n (alpha - beta - s z) P_n + 2 (n + alpha) (n + beta) P_{n-1}, s = 2n + alpha + beta.
-    The series serves each x whose nearest zero has |h| (1 + max(alpha, beta, 0)) < (1 - |z|)/4; one
-    eval_P_many pass gives P_n and P_{n-1} at those zeros and P_n at every other x. The terms are
-    c_k = a_k H^k / (|a_1| H), H the farthest the series reaches from z, so none overflows where P_n
-    is finite; they run until two fall below the rounding of c_1 = +-1 (none is left past k = n) and
-    are summed by Horner in h / H. Blocks of _BLOCK / 8 points, each with the terms of the zeros it
-    reaches, keep the temporaries near the recurrence's. Below _SERIES_MIN_DEGREE, P_n is eval_P's.
+    One search over x finds each nearest zero z; the series serves x if |h| (1 + max(alpha, beta, 0)) <
+    (1 - |z|)/4, and one eval_P_many pass gives P_n and P_{n-1} at the zeros it serves and P_n at every
+    other x. The terms are c_k = a_k H^k / (|a_1| H), H the farthest the series reaches from z, so none
+    overflows where P_n is finite; they run until two fall below the rounding of c_1 = +-1 (none is left
+    past k = n) and are summed by Horner in h / H; only these two steps run in blocks of _BLOCK / 8
+    points of x, each block with the terms of the zeros it reaches. Below _SERIES_MIN_DEGREE, eval_P's.
     """
     x = np.atleast_1d(_check_x(x)).ravel()
     if n < _SERIES_MIN_DEGREE:
@@ -528,22 +528,10 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
     a, b = params.alpha, params.beta
     z = jacobi_zeros(params, n)
     mid, reach = 0.5 * (z[:-1] + z[1:]), (1.0 - np.abs(z)) / (4.0 * (1.0 + max(a, b, 0.0)))
-    blocks = [slice(lo, lo + _BLOCK // 8) for lo in range(0, x.size, _BLOCK // 8)]
-
-    def local(block):
-        """Which x of the block the series serves, and for those the nearest zero and h."""
-        near = np.searchsorted(mid, x[block])
-        h = x[block] - z[near]
-        safe = np.abs(h) < reach[near]
-        return safe, near[safe], h[safe]
-
-    used, rest = np.zeros(n, dtype=bool), []
-    for block in blocks:
-        safe, at, _ = local(block)
-        used[at] = True
-        rest.append(x[block][~safe])
-    centers = np.flatnonzero(used)
-    pn, pn1 = eval_P_many(params, [n, n - 1], np.concatenate([z[centers], *rest]))
+    near = np.searchsorted(mid, x)
+    safe = np.abs(x - z[near]) < reach[near]
+    centers = np.unique(near[safe])
+    pn, pn1 = eval_P_many(params, [n, n - 1], np.concatenate([z[centers], x[~safe]]))
     gap = np.concatenate([[np.inf], 0.5 * np.diff(z), [np.inf]])  # half the distance to each neighbour
     H = np.minimum(reach, np.maximum(gap[:-1], gap[1:]))
     s, a0, a1 = 2.0 * n + a + b, np.zeros(n), np.zeros(n)  # a_0 and a_1, at the centers only
@@ -555,12 +543,12 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
     scale = np.abs(a1) * H
     g, vh, hh = 2.0 * z * hw, (b - a - (a + b + 2.0) * z) * hw, H * hw
     lam, tiny = n * (n + a + b + 1.0), np.finfo(float).eps / 4.0
-    out, done = np.empty(x.size), centers.size  # done: values of the pass placed so far
-    for block in blocks:
-        safe, at, u = local(block)
-        part, outside = out[block], int(safe.size - np.count_nonzero(safe))
-        part[~safe] = pn[done:done + outside]
-        done += outside
+    out = np.empty(x.size)
+    out[~safe] = pn[centers.size:]
+    for lo in range(0, x.size, _BLOCK // 8):
+        block = slice(lo, lo + _BLOCK // 8)
+        keep = safe[block]
+        at = near[block][keep]
         zs, idx = np.unique(at, return_inverse=True)  # the zeros this block expands about
         c, top, gz, vz, hz = [a0[zs] / scale[zs], np.sign(a1[zs])], 1.0, g[zs], vh[zs], hh[zs]
         for k in range(n - 1):
@@ -573,12 +561,12 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
             last, top = top, np.abs(nxt).max(initial=0.0)
             if max(last, top) <= tiny:
                 break
-        u /= H[at]
+        u = (x[block][keep] - z[at]) / H[at]
         y, tmp = np.take(c[-1], idx), np.empty(idx.size)
         for ck in reversed(c[:-1]):
             y *= u
             y += np.take(ck, idx, out=tmp)
-        part[safe] = y * scale[at]
+        out[block][keep] = y * scale[at]
     return out
 
 

@@ -1,11 +1,12 @@
 """Integration against the Jacobi weight and Lp norms of expansions.
 
-Three integration paths:
+Three integration paths, whose Gauss rules all come from gauss_jacobi_rule:
 
 * a Gauss rule for the weight (1-x)^alpha (1+x)^beta, on the zeros of
   jacobi.jacobi_zeros with Christoffel weights -- exact on polynomials, and
   so an oracle for the other two paths (p = 2 norms need none:
-  family_norms uses Parseval, and builds no mesh);
+  family_norms uses Parseval, and builds no mesh), and at alpha = beta = 0
+  the Gauss-Legendre rule of every mesh panel;
 * panels between the zeros of a function whose zeros are known, each
   integrated by a Gauss-Jacobi rule whose weight holds the zeros of |f|^p
   at the panel ends (and, on the two end panels, the endpoint powers of
@@ -99,38 +100,37 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     return QuadratureRule(params=params, nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=64)
+def _reference_rule(alpha: float, beta: float, m: int) -> QuadratureRule:
+    """gauss_jacobi_rule for (1-s)^alpha (1+s)^beta, built once per weight and shared, so read-only."""
+    rule = gauss_jacobi_rule(JacobiParams(alpha, beta), m)
+    rule.weights.flags.writeable = False
+    return rule
+
+
 _POINTS_PER_PANEL = 12
 _GRADING = 2.0  # geometric ratio of the panels stacked toward theta = 0 and pi
 _GRADING_LEVELS = 36  # smallest graded panel is ~g^-36 of the core panel
 _MAX_REFINE = 7  # mesh doublings before _converge gives up
 
 
-@lru_cache(maxsize=1)
-def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] for every panel, read-only: built on first use, not at
-    import, which would load numpy.polynomial for the commands that make no mesh."""
-    gx, gw = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
-    gx.flags.writeable = gw.flags.writeable = False
-    return gx, gw
-
-
 def theta_mesh(degree: int = 0, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and d-theta weights on (0, pi) at the given refinement level.
 
-    The core panel count resolves the oscillation of degree-`degree` Jacobi
-    polynomials and doubles with each level.
+    The core panel count resolves the oscillation of degree-`degree` Jacobi polynomials and doubles
+    with each level; every panel takes the 12-point Gauss-Legendre rule of gauss_jacobi_rule.
     """
     panels_per_unit = max(4, math.ceil((degree + 8) / 5.0))
     n_core = max(4, math.ceil(panels_per_unit * (2**level) * math.pi))
     bp = np.linspace(0.0, math.pi, n_core + 1)
     graded = bp[1] * _GRADING ** (-np.arange(_GRADING_LEVELS, 0, -1, dtype=float))
     bp = np.concatenate([[0.0], graded, bp[1:-1], math.pi - graded[::-1], [math.pi]])
-    gx, gw = _panel_rule()
+    rule = _reference_rule(0.0, 0.0, _POINTS_PER_PANEL)
     lo, hi = bp[:-1], bp[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    theta = (mid[:, None] + half[:, None] * gx).ravel()
-    w = (half[:, None] * gw).ravel()
+    theta = (mid[:, None] + half[:, None] * rule.nodes).ravel()
+    w = (half[:, None] * rule.weights).ravel()
     return theta, w
 
 
@@ -152,12 +152,6 @@ _PANEL_POINTS = 12  # Gauss-Jacobi points on each panel between two zeros
 # 512, until the p-th power sum settles to its rounding floor (see below).
 _END_PANEL_POINTS = 32
 _END_PANEL_MAX = 512
-
-
-@lru_cache(maxsize=64)
-def _reference_rule(alpha: float, beta: float, m: int) -> QuadratureRule:
-    """gauss_jacobi_rule for (1-s)^alpha (1+s)^beta, built once per weight."""
-    return gauss_jacobi_rule(JacobiParams(alpha, beta), m)
 
 
 def _end_panels(theta: np.ndarray, params: JacobiParams, p: float, m: int):

@@ -376,3 +376,16 @@ class TestImportPath:
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("extra, code", [([], 0), (["--bogus", "1"], 2)], ids=["runs", "unknown-flag"])
+    def test_module_exits_with_mains_code(self, tmp_path, extra, code):
+        # `python -m jacobigreedy.cli`, as the console script runs it: the exit code is main()'s
+        argv = ["witness", "--p", "3", "--N-min", "8", "--N-max", "16", "--samples", "4", "--tol", "1e-5",
+                *extra, "--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "jacobigreedy.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == code, done.stderr
+        assert (tmp_path / "out" / "witness.csv").is_file() == (code == 0)

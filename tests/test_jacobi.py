@@ -690,3 +690,21 @@ class TestEvalPFromZeros:
         params, n = JacobiParams(1.0, 0.5), 1024
         x = np.random.default_rng(0).uniform(-1.0, 1.0, 3 * (B // 8) + 5)
         np.testing.assert_allclose(eval_P_from_zeros(params, n, x), eval_P(params, n, x), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5)])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_blocks_of_x_change_nothing_but_rounding(self, monkeypatch, ab, n):
+        # the nearest-zero search and the eval_P_many pass run once over all of x; only the terms and
+        # their Horner sum go by blocks of _BLOCK // 8 points, and a block of 8 points expands about
+        # fewer zeros, which may end the terms a step sooner: values move by rounding at most
+        params = JacobiParams(*ab)
+        x = np.concatenate([np.random.default_rng(1).uniform(-1.0, 1.0, 3000),
+                            np.cos(np.linspace(0.0, math.pi, 1001))])
+        passes = []
+        many = jacobi.eval_P_many
+        monkeypatch.setattr(jacobi, "eval_P_many", lambda *args: passes.append(args[1]) or many(*args))
+        whole = eval_P_from_zeros(params, n, x)
+        monkeypatch.setattr(jacobi, "_BLOCK", 64)
+        blocked = eval_P_from_zeros(params, n, x)
+        assert passes == [[n, n - 1]] * 2
+        np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)

@@ -115,7 +115,38 @@ class TestGaussJacobiRule:
         np.testing.assert_allclose(gram, np.eye(31), atol=1e-9)
 
 
+def mpmath_gauss_legendre(m: int) -> tuple[list, list]:
+    """40-digit m-point Gauss-Legendre rule: Newton on P_m from cos(pi (k + 3/4) / (m + 1/2)), and
+    weights 2 (1 - x^2) / (m P_{m-1}(x))^2."""
+    with mpmath.workdps(40):
+        guesses = [mpmath.cos(mpmath.pi * (k + 0.75) / (m + 0.5)) for k in range(m)]
+        nodes = sorted(mpmath.findroot(lambda t: mpmath.legendre(m, t), g, solver="newton") for g in guesses)
+        weights = [2 * (1 - x * x) / (m * mpmath.legendre(m - 1, x)) ** 2 for x in nodes]
+    return nodes, weights
+
+
 class TestThetaMesh:
+    def test_panel_rule_is_gauss_legendre_to_rounding(self):
+        # every panel's rule, read back from the mesh weights of one core panel, against 40 digits
+        m = quadrature._POINTS_PER_PANEL
+        want_x, want_w = mpmath_gauss_legendre(m)
+        assert all(float(b - a) > 0.05 for a, b in zip(want_x, want_x[1:]))  # m distinct zeros
+        rule = quadrature._reference_rule(0.0, 0.0, m)
+        with mpmath.workdps(40):  # errors of the doubles themselves, not of the 40 digits rounded
+            assert max(abs(float(x - w)) for x, w in zip(rule.nodes, want_x)) <= 1e-16
+            rel = lambda got: max(abs(float(g / w - 1)) for g, w in zip(got, want_w))
+            assert rel(rule.weights) <= 2e-15
+        theta, w = theta_mesh()
+        panel = w[m * 40: m * 41]  # past the 36 graded panels at theta = 0
+        with mpmath.workdps(40):
+            assert rel(2.0 * panel / panel.sum()) <= 2e-15
+
+    def test_cached_rules_are_read_only(self):
+        rule = quadrature._reference_rule(0.0, 0.0, 12)
+        for values in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
     def test_weights_integrate_dtheta(self):
         theta, w = theta_mesh()
         assert np.sum(w) == pytest.approx(math.pi, rel=1e-13)
