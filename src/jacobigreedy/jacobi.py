@@ -15,10 +15,10 @@ vector, and each caller folds lambda_n into the scalar it already multiplies by.
 The zeros of P_n, the eigenvalues of the Jacobi matrix, need no eigenvalue
 solver: Newton's method from asymptotic guesses (Hale & Townsend, SIAM J.
 Sci. Comput. 35, 2013) takes its steps from the pivots of J - xI, the ratio
-recurrence of the orthonormal p_k, which cannot overflow, and the same
-pivots give a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
-that certifies every zero, taken in the first Newton sweep at the midpoints
-between the guesses. jacobi_zeros gives all of them,
+recurrence of the orthonormal p_k, which cannot overflow. By Laguerre's
+bound a zero of P_n lies within (n + 1) |last step| of each, so disjoint
+intervals certify all; only where two overlap do the pivots give a Sturm count
+(Barth, Martin & Wilkinson, Numer. Math. 9, 1967). jacobi_zeros gives all of them,
 cached per weight and degree (the positive half only at alpha = beta);
 largest_root gives the top one by scalar Newton from above.
 eval_P_from_zeros evaluates P_n between its zeros by the Taylor series of its
@@ -331,23 +331,22 @@ def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]
 _RING = 64
 
 
-def _pivots(diag: list, off2: list, x: np.ndarray, count: bool | slice = False):
+def _pivots(diag: list, off2: list, x: np.ndarray, count: bool = False):
     """Last pivot of the LDL^T factorisation of J - xI at every x, J the len(diag) Jacobi matrix.
 
     The pivots q_0 = diag[0] - x, q_k = diag[k] - x - off2[k-1] / q_{k-1} are the ratios
     -off[k] p_{k+1}(x) / p_k(x) of the orthonormal recurrence, so none overflows where P_n would
     (a zero pivot makes the next -inf and the one after finite again). With count, also the number
-    of negative pivots at every x, or at x[count] only for a slice: by Sylvester's law of inertia,
-    the number of zeros of P_len(diag) below x. A step is two ufunc calls when the diagonal is 0
-    (alpha = beta: diag[k] - x is then q_0 at every k), else three; the signs of the counted pivots
-    go into a ring of _RING rows, summed once it is full.
+    of negative pivots at every x: by Sylvester's law of inertia, the number of zeros of
+    P_len(diag) below x. A step is two ufunc calls when the diagonal is 0 (alpha = beta:
+    diag[k] - x is then q_0 at every k), else three; the signs of the counted pivots go into a ring
+    of _RING rows, summed once it is full.
     """
     y = -x
     q = y + diag[0]
     t, y0 = np.empty_like(q), None if any(diag) else q.copy()  # y0 = diag[k] - x at every k
-    signs = None if count is False else q[slice(None) if count is True else count]  # a view of q, updated in place
-    neg = None if signs is None else (signs < 0).astype(np.intp)
-    ring = np.empty((_RING, 0 if signs is None else signs.size), dtype=bool)
+    neg = (q < 0).astype(np.intp) if count else None
+    ring = np.empty((_RING, q.size if count else 0), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(1, len(diag), _RING):
             for d, o, bits in zip(diag[lo:lo + _RING], off2[lo - 1:lo - 1 + _RING], ring):
@@ -357,9 +356,9 @@ def _pivots(diag: list, off2: list, x: np.ndarray, count: bool | slice = False):
                     q -= t
                 else:
                     np.subtract(y0, t, out=q)
-                if signs is not None:
-                    np.less(signs, 0.0, out=bits)
-            if signs is not None:
+                if count:
+                    np.less(q, 0.0, out=bits)
+            if count:
                 neg += np.add.reduce(ring[:len(diag) - lo].view(np.uint8), axis=0, dtype=np.uint8)
     return q, neg
 
@@ -399,6 +398,15 @@ def _zero_guesses(params: JacobiParams, n: int, m: int) -> np.ndarray:
 # core of an Intel Xeon)
 _SCALAR_NEWTON = 12
 
+# Added to the Laguerre radius (n + 1) |s| of a zero x with last Newton step s: Laguerre puts a zero of the matrix whose
+# pivots were computed within n |s| of x + s, but that is J + E, not J. A pivot step rounds at most three times
+# (d - x, o / q, their difference); dividing each computed pivot by its own two rounding factors leaves the exact
+# recurrence with off2[k - 1] times four of them (Barth, Martin & Wilkinson), so E is 0 on the diagonal and
+# |E[k, k + 1]| <= 2u off[k] <= 2u ||J|| <= 2u, u = 2^-53, as the zeros lie in (-1, 1). By Weyl, ||E|| <= 4u moves
+# no zero further; with u for rounding x = (x + s) - s, 2^-48 = 32u leaves 27u for n |s| times the relative error of
+# s itself (its rounding, and DLMF 18.9.16 read at a pivot of J + E), where _done holds |s| below about 2^-30.
+_LAGUERRE_FLOOR = 2.0**-48
+
 
 @lru_cache(maxsize=64)
 def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
@@ -408,14 +416,14 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     each step from the pivot recurrence of the Jacobi matrix (_pivots, _newton_step), O(n) per zero;
     a zero stops once its step is far below rounding (_done), and a pass over at most _SCALAR_NEWTON
     zeros takes the scalar _pivot, which gives the same bits. At alpha = beta only the n // 2 positive
-    zeros are solved and mirrored, with an exact 0 in the middle at odd n. The first sweep also takes
-    a Sturm count at the midpoints between neighbouring guesses, on a probe slice of the same _pivots
-    call. A count at a point is a fact about the matrix, whatever chose the point, so it certifies
-    each zero whose interval holds exactly one zero of P_n, within (n + 1) |last step| of it
-    (Laguerre: some zero z has |x - z| <= n |P_n / P_n'|). Only if some zero fails is the count taken
-    again at the midpoints between the converged zeros; a zero that fails that too, or whose Newton
-    steps left its range or stopped shrinking, is found again by bisection on the count and Newton
-    (_repair); one that cannot be certified raises RuntimeError.
+    zeros are solved and mirrored, with an exact 0 in the middle at odd n. Some zero of P_n lies within
+    (n + 1) |last step| + _LAGUERRE_FLOOR of each (Laguerre: some zero z has |x - z| <= n |P_n / P_n'|),
+    so if these intervals are pairwise disjoint (and above 0 at alpha = beta), each holds one of the n
+    simple zeros (n // 2 above 0). Only if two overlap, or a zero's Newton steps left its range or
+    stopped shrinking, is a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) taken at the
+    midpoints between the converged zeros; a zero not alone between its two, or whose Laguerre margin
+    leaves them, is found again by bisection on the count and Newton (_repair); one that cannot be
+    certified raises RuntimeError.
     """
     diag, off = jacobi_matrix(params, n)
     if n == 1:
@@ -427,15 +435,11 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     fence, below = (0.0, n // 2) if even else (-1.0, 0)  # lower end of the solved zeros, zeros under it
     want = n - m + np.arange(m)  # index of each solved zero among all n
     x = _zero_guesses(params, n, m)
-    probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)  # between neighbouring guesses
     step = np.full(m, np.inf)  # last Newton step of each zero; inf where Newton gave up
-    todo, counts = np.arange(m), None
+    todo = np.arange(m)
     while todo.size:
         xs = x[todo]
-        if counts is None:  # the first sweep also counts at the probes
-            q, counts = _pivots(dl, o2, np.concatenate([xs, probes]), slice(m, None))
-            q = q[:m]
-        elif todo.size <= _SCALAR_NEWTON:
+        if todo.size <= _SCALAR_NEWTON:
             q = np.array([_pivot(dl, o2, v)[0] for v in xs.tolist()])
         else:
             q = _pivots(dl, o2, xs)[0]
@@ -447,23 +451,18 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
         x[todo[ok]] = new[ok]
         step[todo] = np.where(ok, np.abs(s), np.inf)
         todo = todo[ok & ~_done(params, n, new, s)]
-
-    def uncertified(probes, counts):
-        """Where zero k is not alone in [probes[k], probes[k + 1]) by the counts, or its Laguerre margin
-        leaves that interval."""
-        edges = np.append(probes, np.inf)  # the interval of each zero; no zero lies at or above 1
-        if not even:  # nor at or below -1, where a rounded J may count one when beta is near -1
-            probes[0], counts[0], edges[0] = fence, below, -np.inf
-        bad = (counts != want) | (np.append(counts[1:], n) != want + 1)
-        return bad | ~((n + 1.0) * np.abs(step) < np.minimum(x - edges[:-1], edges[1:] - x))
-
-    if uncertified(probes, counts).any():  # else the first sweep's counts certify every zero
+    r = (n + 1.0) * step + _LAGUERRE_FLOOR  # each zero's radius; inf where Newton gave up, which fails both tests
+    if not ((x[:-1] + r[:-1] < x[1:] - r[1:]).all() and (x[0] - r[0] > fence or not even)):  # else all certified
         for _ in range(3):  # a repaired zero passes the second count
             order = np.argsort(x, kind="stable")
             x, step = x[order], step[order]
             probes = 0.5 * (np.concatenate([[fence], x[:-1]]) + x)
             counts = _pivots(dl, o2, probes, count=True)[1]
-            bad = uncertified(probes, counts)
+            edges = np.append(probes, np.inf)  # the interval of each zero; no zero lies at or above 1
+            if not even:  # nor at or below -1, where a rounded J may count one when beta is near -1
+                probes[0], counts[0], edges[0] = fence, below, -np.inf
+            bad = (counts != want) | (np.append(counts[1:], n) != want + 1)
+            bad |= ~((n + 1.0) * step < np.minimum(x - edges[:-1], edges[1:] - x))
             if not bad.any():
                 break
             # a probe next to a failed zero may lie on a zero, which would hold Newton to bisection there
@@ -530,7 +529,7 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
     mid, reach = 0.5 * (z[:-1] + z[1:]), (1.0 - np.abs(z)) / (4.0 * (1.0 + max(a, b, 0.0)))
     near = np.searchsorted(mid, x)
     safe = np.abs(x - z[near]) < reach[near]
-    centers = np.unique(near[safe])
+    centers = np.flatnonzero(np.bincount(near[safe], minlength=n))
     pn, pn1 = eval_P_many(params, [n, n - 1], np.concatenate([z[centers], x[~safe]]))
     gap = np.concatenate([[np.inf], 0.5 * np.diff(z), [np.inf]])  # half the distance to each neighbour
     H = np.minimum(reach, np.maximum(gap[:-1], gap[1:]))

@@ -108,7 +108,7 @@ def _reference_rule(alpha: float, beta: float, m: int) -> QuadratureRule:
     return rule
 
 
-_POINTS_PER_PANEL = 12
+_PANEL_POINTS = 12  # Gauss points on each panel, of the theta mesh and between two zeros
 _GRADING = 2.0  # geometric ratio of the panels stacked toward theta = 0 and pi
 _GRADING_LEVELS = 36  # smallest graded panel is ~g^-36 of the core panel
 _MAX_REFINE = 7  # mesh doublings before _converge gives up
@@ -125,7 +125,7 @@ def theta_mesh(degree: int = 0, level: int = 0) -> tuple[np.ndarray, np.ndarray]
     bp = np.linspace(0.0, math.pi, n_core + 1)
     graded = bp[1] * _GRADING ** (-np.arange(_GRADING_LEVELS, 0, -1, dtype=float))
     bp = np.concatenate([[0.0], graded, bp[1:-1], math.pi - graded[::-1], [math.pi]])
-    rule = _reference_rule(0.0, 0.0, _POINTS_PER_PANEL)
+    rule = _reference_rule(0.0, 0.0, _PANEL_POINTS)
     lo, hi = bp[:-1], bp[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -144,7 +144,6 @@ def mu_theta_weight(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     )
 
 
-_PANEL_POINTS = 12  # Gauss-Jacobi points on each panel between two zeros
 # The end panels also hold the measure's endpoint powers. At large alpha (beta)
 # and p their integrand is a narrow peak that a fixed rule can miss: 32 points
 # were 21 % off at (alpha, p, n) = (150, 7.3, 400) and 64 points 23 % off at
@@ -489,7 +488,7 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
 
     if p == 2.0:  # Parseval: || sum_j a_j P_{d_j} ||_2^2 = sum_n (sum_{d_j = n} a_j)^2 / d_n^2
         inv_d = 1.0 / np.array([orthonormal_const(params, n) for n in family.degrees])  # ||P_{d_j}||_2
-        to_degree = np.equal.outer(family.degrees, np.unique(family.degrees)) * inv_d[:, None]
+        to_degree = np.equal.outer(family.degrees, sorted(set(family.degrees))) * inv_d[:, None]
         parseval = lambda a: np.sum((a @ to_degree) ** 2, axis=-1)
         values = [math.sqrt(v) for v in parseval(coeffs)]
         if square:

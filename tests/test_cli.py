@@ -389,3 +389,16 @@ class TestEntryPoint:
                               text=True, timeout=300)
         assert done.returncode == code, done.stderr
         assert (tmp_path / "out" / "witness.csv").is_file() == (code == 0)
+
+    @pytest.mark.parametrize("argv", [["norms", "--p", "3", "--n-min", "256", "--n-max", "512"],
+                                      ["witness", "--p", "2", "--N-min", "8", "--N-max", "16", "--samples", "4"]],
+                             ids=["norms", "witness-p2"])
+    def test_commands_leave_numpy_ma_unloaded(self, tmp_path, argv):
+        # a plain np.unique imports numpy.ma on its first call, 8-11 ms of a fresh process; these commands need none
+        script = "import sys; from jacobigreedy.cli import main; code = main(sys.argv[1:]); " \
+                 "print('numpy.ma' in sys.modules); sys.exit(code)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"

@@ -491,13 +491,12 @@ class TestJacobiZeros:
     @pytest.mark.parametrize("n", [2, 7, 64, 255, 1024, 1025, 4096])
     @pytest.mark.parametrize("ab", ORACLE_WEIGHTS)
     def test_same_bits_as_two_sweep_solve(self, ab, n, monkeypatch):
-        # and at (0, 0) and (1, 0.5), the first Newton sweep's counts at the probes between the guesses
-        # certify every zero: one counted sweep, no recount
+        # and at (0, 0) and (1, 0.5), Newton's own steps certify every zero: no counted pass at all
         pivots, counted = jacobi._pivots, []
 
         def recorded(diag, off2, x, count=False):
-            if count is not False:
-                counted.append(count)
+            if count:
+                counted.append(x.size)
             return pivots(diag, off2, x, count)
 
         params = JacobiParams(*ab)
@@ -508,7 +507,7 @@ class TestJacobiZeros:
         finally:
             jacobi_zeros.cache_clear()
         if ab in [(0.0, 0.0), (1.0, 0.5)] and n in (64, 1024, 4096):
-            assert len(counted) == 1 and isinstance(counted[0], slice)
+            assert counted == []
         monkeypatch.undo()
         assert np.array_equal(zeros, two_sweep_zeros(params, n))
 
@@ -553,7 +552,6 @@ class TestJacobiZeros:
         x = np.concatenate([np.linspace(-1.0, 1.0, 100), 0.5 * (full[1:] + full[:-1])])
         q, counts = jacobi._pivots(dl, o2, x, count=True)
         np.testing.assert_array_equal(counts, np.searchsorted(full, x))
-        assert np.array_equal(jacobi._pivots(dl, o2, x, slice(100, None))[1], counts[100:])
         # the scalar pivots are the vector ones bit for bit (Newton takes either), also at alpha = beta,
         # where the vector step skips the zero diagonal; here and at the Newton guesses
         x = np.concatenate([x, jacobi._zero_guesses(params, n, n)])
@@ -574,6 +572,42 @@ class TestJacobiZeros:
         finally:
             jacobi_zeros.cache_clear()
         full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+        np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5)])
+    def test_overlapping_intervals_fall_back_to_the_count(self, ab, monkeypatch):
+        # one guess duplicated, the rest exact: both copies converge to one zero, so their Laguerre intervals
+        # overlap, and the solve recounts at the converged midpoints; _repair finds the zero no copy reached,
+        # and one more count confirms it
+        params, n = JacobiParams(*ab), 200
+        full = eigh_tridiagonal(*jacobi_matrix(params, n), eigvals_only=True)
+
+        def duplicated(params, n, m):
+            guesses = full[n - m:].copy()
+            guesses[m // 2] = guesses[m // 2 + 1]
+            return guesses
+
+        pivots, repair, calls = jacobi._pivots, jacobi._repair, []
+
+        def recorded(diag, off2, x, count=False):
+            calls.append((x.size, bool(count)))
+            return pivots(diag, off2, x, count)
+
+        def repaired(*args):
+            calls.append("repair")
+            return repair(*args)
+
+        monkeypatch.setattr(jacobi, "_zero_guesses", duplicated)
+        monkeypatch.setattr(jacobi, "_pivots", recorded)
+        monkeypatch.setattr(jacobi, "_repair", repaired)
+        jacobi_zeros.cache_clear()
+        try:
+            zeros = jacobi_zeros(params, n)
+        finally:
+            jacobi_zeros.cache_clear()
+        m = n // 2 if ab[0] == ab[1] else n
+        # one uncounted Newton pass over the exact guesses, one recount, the repair, and its confirmation
+        assert [c for c in calls if c == "repair" or c[0] == m] == [(m, False), (m, True), "repair", (m, True)]
         np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
 
     def test_non_finite_steps_are_repaired(self, monkeypatch):
@@ -597,13 +631,15 @@ class TestJacobiZeros:
         np.testing.assert_allclose(zeros, full, rtol=0.0, atol=1e-14)
 
     def test_uncertifiable_zeros_raise(self, monkeypatch):
-        # a count that never matches must raise, not return uncertified zeros
+        # guesses that collapse onto one zero leave Newton's intervals overlapping, and a count that never
+        # matches must then raise, not return uncertified zeros
         pivots = jacobi._pivots
 
         def miscounted(diag, off2, x, count=False):
             q, neg = pivots(diag, off2, x, count)
             return q, (neg * 0 if count else neg)
 
+        monkeypatch.setattr(jacobi, "_zero_guesses", lambda params, n, m: np.full(m, 0.3))
         monkeypatch.setattr(jacobi, "_pivots", miscounted)
         jacobi_zeros.cache_clear()
         try:

@@ -128,7 +128,7 @@ def mpmath_gauss_legendre(m: int) -> tuple[list, list]:
 class TestThetaMesh:
     def test_panel_rule_is_gauss_legendre_to_rounding(self):
         # every panel's rule, read back from the mesh weights of one core panel, against 40 digits
-        m = quadrature._POINTS_PER_PANEL
+        m = quadrature._PANEL_POINTS
         want_x, want_w = mpmath_gauss_legendre(m)
         assert all(float(b - a) > 0.05 for a, b in zip(want_x, want_x[1:]))  # m distinct zeros
         rule = quadrature._reference_rule(0.0, 0.0, m)
