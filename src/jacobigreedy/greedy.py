@@ -18,6 +18,7 @@ import numpy as np
 from .jacobi import (
     JacobiParams,
     NormalizationMode,
+    _degree,
     eval_P_from_zeros,
     eval_P_many,
     jacobi_combination,
@@ -25,17 +26,6 @@ from .jacobi import (
     orthonormal_const,
 )
 from .quadrature import family_norms, lp_norm_between_zeros, total_mass
-
-
-def _degree(j) -> int:
-    """j as an int degree: numpy integers and integral floats such as 2.0 pass; any other value
-    (1.5, nan, inf) raises ValueError naming it, where int() would truncate it to another degree."""
-    try:
-        if (d := int(j)) == j:
-            return d
-    except (OverflowError, ValueError):
-        pass
-    raise ValueError(f"degree {j!r} is not an integer")
 
 
 @lru_cache(maxsize=4096)
@@ -87,8 +77,8 @@ class JacobiFamily:
         self.params = params
         self.mode = mode
         self.degrees = tuple(_degree(d) for d in degrees)
-        if not self.degrees or min(self.degrees) < 0:
-            raise ValueError("degrees must be nonempty and >= 0")
+        if not self.degrees:
+            raise ValueError("degrees must be nonempty")
         self.scales = basis_scales(params, mode, self.degrees)
 
     def __len__(self) -> int:
@@ -109,8 +99,6 @@ class Expansion:
 
     def __post_init__(self):
         clean = {_degree(j): float(c) for j, c in self.coeffs.items() if c != 0.0}
-        if any(j < 0 for j in clean):
-            raise ValueError("basis indices must be >= 0")
         object.__setattr__(self, "coeffs", clean)
 
     @property

@@ -100,9 +100,24 @@ class NormalizationMode:
 
 def _check_x(x):
     x = np.asarray(x, dtype=float)
-    if np.abs(x).max(initial=0.0) > 1.0 + 1e-12:
-        raise DomainError("x outside [-1, 1]")
+    if not (top := np.abs(x).max(initial=0.0)) <= 1.0 + 1e-12:  # the max carries a nan through
+        raise DomainError(f"x must lie in [-1, 1], got max |x| = {top}")
     return x
+
+
+def _degree(j) -> int:
+    """j as an int degree >= 0, the one rule of every evaluator and family: numpy integers and integral
+    floats such as 2.0 pass; a negative j, or any other value (1.5, nan, inf), where int() would
+    truncate it to another degree, raises DomainError naming it."""
+    try:
+        d = int(j)
+    except (OverflowError, ValueError):
+        d = None
+    if d != j:
+        raise DomainError(f"degree {j!r} is not an integer")
+    if d < 0:
+        raise DomainError(f"degrees must be >= 0, got {d}")
+    return d
 
 
 # Points per evaluator block: the x block and three buffers (4 x 256 KiB) fit
@@ -202,9 +217,7 @@ def _rows(params: JacobiParams, degrees: list, x: np.ndarray) -> np.ndarray:
     """eval_P_many on a checked, flat x."""
     want: dict[int, list[int]] = {}
     for i, d in enumerate(degrees):
-        if d < 0:
-            raise DomainError("degrees must be >= 0")
-        want.setdefault(int(d), []).append(i)
+        want.setdefault(_degree(d), []).append(i)
     out = np.empty((len(degrees), x.size))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
         for block, steps in _blocks(params, x, max(want, default=0)):
@@ -218,6 +231,7 @@ def _rows(params: JacobiParams, degrees: list, x: np.ndarray) -> np.ndarray:
 
 def jacobi_combination(params: JacobiParams, coeffs: Mapping[int, float], x) -> np.ndarray:
     """Sum_{n} coeffs[n] * P_n(x), accumulated in one recurrence pass."""
+    coeffs = {_degree(n): c for n, c in coeffs.items()}
     xv = np.atleast_1d(_check_x(x))
     acc = np.zeros(xv.size)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below

@@ -20,22 +20,23 @@ Three integration paths, whose Gauss rules all come from gauss_jacobi_rule:
   the transformed weight behaves like theta^{2 alpha + 1} near 0 and
   (pi - theta)^{2 beta + 1} near pi.
 
-The mesh has no configuration: its panel count follows the highest
-polynomial degree in the integrand (the `degree` of lp_norm and
-lp_norms_of_rows, the largest degree of a family), which sets the
-oscillation it must resolve. Quantities on one mesh share its levels, each
-until it has converged (_converge). A family's quantities (family_norms:
-combinations, so every Lp norm of an expansion, the square function, sign
-sums, greedy partial sums) come from one jacobi_iter pass per level over
-blocks of points, each reduced over the family. Combinations and the square
-function stream into whole-mesh sums, on blocks of jacobi._BLOCK points; the
-sign and partial sums, which need every row at once, read the rows the pass
-holds, on blocks of at most 32 MiB of rows (up to 4096 rows). Every integral of
-|.|^p in family_norms and lp_norm_between_zeros is _pth_sum: abs, one sqrt and
-products when 2p is an integer up to 12, np.power otherwise. lp_norms_of_rows,
-behind lp_norm only, takes rows of any function. At alpha = beta the mesh is
-folded at theta = pi/2 and evaluated below it only, every family's even- and
-odd-degree parts mirrored apart; so is the panel set of a single p_n.
+The mesh has no configuration: its panel count follows the highest polynomial
+degree in the integrand (the `degree` of lp_norm and lp_norms_of_rows, the
+largest degree of a family), which sets the oscillation it must resolve.
+Quantities on one mesh share its levels, each under its key until it has
+converged (_converge). A family's quantities (family_norms: combination i under
+key i, so every Lp norm of an expansion; "square", the square function;
+"rademacher", the sign sums; "prefix", the greedy partial sums) come from one
+jacobi_iter pass per level over blocks of points, each reduced over the family.
+Combinations and the square function stream into whole-mesh sums, on blocks of
+jacobi._BLOCK points; the sign and partial sums, which need every row at once,
+read the rows the pass holds, on blocks of at most 32 MiB of rows (up to 4096
+rows). Every integral of |.|^p in family_norms and lp_norm_between_zeros is
+_pth_sum: abs, one sqrt and products when 2p is an integer up to 12, np.power
+otherwise. lp_norms_of_rows, behind lp_norm only, takes rows of any function.
+At alpha = beta the mesh is folded at theta = pi/2 and evaluated below it only,
+every family's even- and odd-degree parts mirrored apart; so is the panel set
+of a single p_n.
 """
 
 from __future__ import annotations
@@ -311,37 +312,37 @@ def lp_norm_between_zeros(
     return estimates[1]
 
 
-def _converge(estimator, params: JacobiParams, degree: int, tol: float, count: int = 1, fold=False) -> list:
-    """Run estimator on successively doubled meshes until each of its `count` quantities converges.
+def _converge(estimator, params: JacobiParams, degree: int, tol: float, keys, fold=False) -> dict:
+    """Run estimator on successively doubled meshes until each quantity, named by one of `keys`, converges.
 
-    estimator gets (theta, quadrature-times-measure weights, ascending indices of the
-    quantities still open) and returns a scalar or vector estimate for each; one converges,
-    and drops out, once the max relative change of its estimate between two levels is <= tol.
+    estimator gets (theta, quadrature-times-measure weights, the keys still open, in the order of
+    keys) and returns {key: scalar or vector estimate} for them; a quantity converges, and drops out,
+    once the max relative change of its estimate between two levels is <= tol.
     If fold (alpha = beta, an even measure), the mesh is folded at pi/2: the estimator sees
-    its half below pi/2, with weights (each node's, its mirror node's). Returns the converged
-    values; ConvergenceError carries the last two estimates of the first one open.
+    its half below pi/2, with weights (each node's, its mirror node's). Returns {key: converged
+    value}; ConvergenceError names the first key still open and carries its last two estimates.
     """
-    last, done, open_ = [(None, None)] * count, [None] * count, list(range(count))
+    last, done = dict.fromkeys(keys, (None, None)), {}
     for level in range(_MAX_REFINE + 1):
         theta, w = theta_mesh(degree, level)
         w = w * mu_theta_weight(params, theta)
         if fold:  # at pi/2, where no node lies (12 points per panel)
             theta, w = theta[: theta.size // 2], np.stack([w, w[::-1]])[:, : theta.size // 2]
-        for q, est in zip(tuple(open_), estimator(theta, w, tuple(open_))):
+        for key, est in estimator(theta, w, tuple(k for k in keys if k not in done)).items():
             est = np.asarray(est, dtype=float)
             if not np.all(np.isfinite(est)):
                 raise EvaluationError("integrand produced non-finite values")
-            prev = last[q][1]
-            last[q] = (prev, est)
+            prev = last[key][1]
+            last[key] = (prev, est)
             if prev is not None and np.max(np.abs(est - prev) / np.maximum(np.abs(est), 1e-300)) <= tol:
-                done[q] = est if est.ndim else float(est)
-                open_.remove(q)
-        if not open_:
+                done[key] = est if est.ndim else float(est)
+        if len(done) == len(last):
             return done
-    prev, est = last[open_[0]]
+    key = next(k for k in keys if k not in done)
+    prev, est = last[key]
     i = np.argmax(np.abs(est - prev) / np.maximum(np.abs(est), 1e-300))  # the component that changed most
     raise ConvergenceError(
-        f"no convergence to tol={tol:g} after {_MAX_REFINE} refinements",
+        f"quantity {key!r} did not converge to tol={tol:g} after {_MAX_REFINE} refinements; converged: {list(done)}",
         estimates=(float(prev.flat[i]), float(est.flat[i])),
     )
 
@@ -402,14 +403,14 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
     """Lp(mu) norms of quantities of one family f_j = s_j P_{d_j}, one recurrence pass per mesh level.
 
     family is a greedy.JacobiFamily (.params, .degrees, .scales s_j). Returns (norms of the combos,
-    square, rademacher, prefix sums):
-    * || sum_j c_j f_j ||_p for each coefficient vector c in combos, (c_j s_j) P_n
+    square, rademacher, prefix sums), each quantity computed under its key below:
+    * i: || sum_j c_j f_j ||_p for the i-th coefficient vector c in combos, (c_j s_j) P_n
       added in ascending n as in jacobi.jacobi_combination;
-    * if square, || (sum_j f_j^2)^{1/2} ||_p, else None;
-    * if samples is given (>= 1), the Rademacher average ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}
+    * "square", if square: || (sum_j f_j^2)^{1/2} ||_p, else None;
+    * "rademacher", if samples is given (>= 1): the Rademacher average ( E_eps || sum_j eps_j f_j ||_p^p )^{1/p}
       over `samples` sign vectors, iid uniform on {-1, +1} and fixed by seed,
       with the bootstrap standard error of the estimate (0.0 if all resamples agree); else None;
-    * if prefix (coefficients c_j) is given, the array of || sum_{i<=m} c_i f_i ||_p, m = 1..len(family)
+    * "prefix", if prefix (coefficients c_j) is given: || sum_{i<=m} c_i f_i ||_p, m = 1..len(family)
       (the greedy partial sums of an expansion whose support the family lists in greedy order).
     Each converges on its own (_converge), at alpha = beta on a mesh folded at pi/2: even integrands
     (sum_j f_j^2, sums over one parity) take each node's weight plus its mirror's, and a sum over both
@@ -434,9 +435,9 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
     prefix = None if prefix is None else np.asarray(prefix, dtype=float).reshape(len(family))
     if not all(np.isfinite(c).all() for c in (coeffs, prefix) if c is not None):
         raise EvaluationError("coefficients must be finite")  # so a non-finite estimate is an overflow
-    pre_q = k + square  # then the prefix sums; the Rademacher quantity comes last
-    rad_q = pre_q + (prefix is not None)
     odd = np.array(family.degrees) % 2
+    named = {"square": square, "prefix": prefix is not None, "rademacher": signs is not None}
+    keys = [*range(k), *(key for key, wanted in named.items() if wanted)]
 
     def estimator(theta, w, open_):
         nonlocal pth_powers
@@ -451,21 +452,22 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
                 return _pth_sum(e, sym[block], p)
             return _pth_sum(e + o, w[0][block], p) + _pth_sum(np.subtract(e, o, out=e), w[1][block], p)
 
-        x, cs = np.cos(theta), split(coeffs[[q for q in open_ if q < k]])
-        comb, sq = np.zeros((len(cs), x.size)), np.zeros(x.size) if square and k in open_ else None
-        pre, rad = prefix is not None and pre_q in open_, rad_q in open_
-        fold = pre and not rad and sq is None  # only the prefix sums read the rows: c_j goes into their scale
+        live = [q for q in open_ if isinstance(q, int)]  # the combinations still open
+        x, cs = np.cos(theta), split(coeffs[live])
+        comb, sq = np.zeros((len(cs), x.size)), np.zeros(x.size) if "square" in open_ else None
+        pre, rad = "prefix" in open_, "rademacher" in open_
+        in_scales = pre and not rad and sq is None  # only the prefix sums read the rows: c_j goes into s_j
         acc, sums = np.zeros(len(family)), None
         if rad:
             eps, pth_powers = split(signs), np.zeros(len(signs))  # the bootstrap reads the last level's
-        scales = family.scales * prefix if fold else family.scales
+        scales = family.scales * prefix if in_scales else family.scales
         for block, rows in _family_pass(family, x, cs, comb, sq, pre or rad, scales):
             if rad:  # eps @ rows, summed over the block as |.|^p
                 sums = np.empty((len(eps), rows.shape[1])) if sums is None else sums
                 v = np.matmul(eps, rows, out=sums[:, : rows.shape[1]])
                 pth_powers += pth(*(np.split(v, 2) if mixed else [v]), block=block)
             if pre:  # rows[i] = c_i f_i, then in place the prefix sums e + o, and e - o in one running row
-                if not fold:
+                if not in_scales:
                     rows *= prefix[:, None]
                 if mixed:
                     diff, t = np.zeros(rows.shape[1]), np.empty(rows.shape[1])
@@ -476,34 +478,32 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
                     if i:
                         row += rows[i - 1]
                 acc += _pth_sum(rows, (w[0] if mixed else sym)[block], p)
-        n_comb = len(cs) // (1 + mixed)  # combination i is comb[i], or (e, o) = comb[i], comb[i + n_comb]
-        out = [pth(*comb[i::n_comb]) ** (1.0 / p) for i in range(n_comb)]
+        out = {q: pth(*comb[i::len(live)]) ** (1.0 / p) for i, q in enumerate(live)}  # comb[i], or (e, o) if mixed
         if sq is not None:
-            out.append(_pth_sum(sq, sym, p / 2.0) ** (1.0 / p))
+            out["square"] = _pth_sum(sq, sym, p / 2.0) ** (1.0 / p)
         if pre:
-            out.append(acc ** (1.0 / p))
+            out["prefix"] = acc ** (1.0 / p)
         if rad:
-            out.append(float(np.mean(pth_powers)) ** (1.0 / p))
+            out["rademacher"] = float(np.mean(pth_powers)) ** (1.0 / p)
         return out
 
     if p == 2.0:  # Parseval: || sum_j a_j P_{d_j} ||_2^2 = sum_n (sum_{d_j = n} a_j)^2 / d_n^2
         inv_d = 1.0 / np.array([orthonormal_const(params, n) for n in family.degrees])  # ||P_{d_j}||_2
         to_degree = np.equal.outer(family.degrees, sorted(set(family.degrees))) * inv_d[:, None]
         parseval = lambda a: np.sum((a @ to_degree) ** 2, axis=-1)
-        values = [math.sqrt(v) for v in parseval(coeffs)]
+        values = {i: math.sqrt(v) for i, v in enumerate(parseval(coeffs))}
         if square:
-            values.append(math.sqrt(np.sum((family.scales * inv_d) ** 2)))
+            values["square"] = math.sqrt(np.sum((family.scales * inv_d) ** 2))
         if prefix is not None:
             partial = np.cumsum((prefix * family.scales)[:, None] * to_degree, axis=0)
-            values.append(np.sqrt(np.sum(partial ** 2, axis=1)))
+            values["prefix"] = np.sqrt(np.sum(partial ** 2, axis=1))
         if signs is not None:
             pth_powers = parseval(signs * family.scales)
-            values.append(float(np.mean(pth_powers)) ** 0.5)
+            values["rademacher"] = float(np.mean(pth_powers)) ** 0.5
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, here
             try:
-                values = _converge(estimator, params, max(family.degrees), tol, rad_q + (signs is not None),
-                                   params.alpha == params.beta)
+                values = _converge(estimator, params, max(family.degrees), tol, keys, params.alpha == params.beta)
             except EvaluationError:  # the family's values, or their p-th powers, left the double range
                 raise EvaluationError(
                     f"Jacobi recurrence overflowed on the mesh of degree {max(family.degrees)}"
@@ -512,9 +512,8 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
     if signs is not None:
         idx = np.random.default_rng(boot_seed).integers(0, samples, size=(_BOOTSTRAP, samples))
         boots = np.mean(pth_powers[idx], axis=1) ** (1.0 / p)
-        rademacher = (values[rad_q], float(np.std(boots, ddof=1)) if np.ptp(boots) else 0.0)
-    return (tuple(values[:k]), values[k] if square else None, rademacher,
-            None if prefix is None else values[pre_q])
+        rademacher = (values["rademacher"], float(np.std(boots, ddof=1)) if np.ptp(boots) else 0.0)
+    return tuple(values[i] for i in range(k)), values.get("square"), rademacher, values.get("prefix")
 
 
 def square_function_norm(
@@ -558,6 +557,6 @@ def lp_norms_of_rows(
         for lo in range(0, x.size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             total = total + np.abs(np.asarray(rows_fn(x[block]), dtype=float)) ** p @ w[block]
-        return [total ** (1.0 / p)]
+        return {"rows": total ** (1.0 / p)}
 
-    return np.asarray(_converge(estimator, params, degree, tol)[0])
+    return np.asarray(_converge(estimator, params, degree, tol, ("rows",))["rows"])

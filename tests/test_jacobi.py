@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -111,6 +112,43 @@ class TestEvalP:
             eval_P(LEG, 3, 1.5)
         with pytest.raises(DomainError):
             eval_P(LEG, -1, 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan], [math.nan, 1.5]])
+    def test_nan_x_is_a_domain_error_in_every_evaluator(self, x):
+        # a nan passed the range check and reached the recurrence as an OverflowError
+        for evaluate in (
+            lambda: eval_P(LEG, 3, x),
+            lambda: eval_P_many(LEG, [1, 3], x),
+            lambda: jacobi_combination(LEG, {3: 1.0}, x),
+            lambda: eval_P_from_zeros(LEG, 300, x),
+        ):
+            with pytest.raises(DomainError, match=r"x must lie in \[-1, 1\], got max \|x\| = nan"):
+                evaluate()
+
+    @pytest.mark.parametrize(
+        "evaluate, message",
+        [(lambda: eval_P(LEG, 2.5, 0.3), "degree 2.5 is not an integer"),
+         (lambda: eval_P_many(LEG, [1, 2.5], 0.3), "degree 2.5 is not an integer"),
+         (lambda: eval_P_many(LEG, [1, math.nan], 0.3), "degree nan is not an integer"),
+         (lambda: jacobi_combination(LEG, {2.5: 1.0, 1: 1.0}, 0.3), "degree 2.5 is not an integer"),
+         (lambda: jacobi_combination(LEG, {-1: 1.0, 2: 1.0}, 0.3), "degrees must be >= 0, got -1"),
+         (lambda: jacobi_combination(LEG, {-1: 1.0}, 0.3), "degrees must be >= 0, got -1"),
+         (lambda: eval_P_many(LEG, [3, -2], 0.3), "degrees must be >= 0, got -2")],
+        ids=["eval_P", "eval_P_many", "eval_P_many-nan", "combination", "combination-negative",
+             "combination-negative-only", "eval_P_many-negative"],
+    )
+    def test_one_degree_rule_in_every_evaluator(self, evaluate, message):
+        # eval_P(LEG, 2.5, .) returned P_2 and {-1: 1.0, 2: 1.0} P_2 alone; {-1: 1.0} raised an
+        # IndexError and {2.5: 1.0, 1: 1.0} a TypeError
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate()
+
+    def test_integral_degrees_of_any_type_pass(self):
+        x = np.array([0.3, -0.7])
+        assert np.array_equal(eval_P_many(LEG, [np.int64(3), 2.0], x), eval_P_many(LEG, [3, 2], x))
+        assert eval_P(LEG, np.float64(4.0), 0.3) == eval_P(LEG, 4, 0.3)
+        assert np.array_equal(jacobi_combination(LEG, {np.int64(3): 1.0, 2.0: -0.5}, x),
+                              jacobi_combination(LEG, {3: 1.0, 2: -0.5}, x))
 
     @settings(max_examples=25, deadline=None)
     @given(

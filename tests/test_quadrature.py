@@ -229,6 +229,20 @@ class TestLpNorm:
         assert exc.value.estimates == pytest.approx(alone.value.estimates, rel=1e-13)
         prev, last = exc.value.estimates
         assert abs(last - prev) > 1e-14 * abs(last)
+        assert str(exc.value).startswith("quantity 'rows' did not converge")
+        # a family: at p = 1 |f| has kinks at the zeros of f, so the block sum reaches no closer
+        # than ~6e-7; the square function, whose integrand has none, converges on the same levels
+        fam = JacobiFamily(LEG, NormalizationMode.sqrt_scaled(), tuple(range(8, 24, 2)))
+        block = (np.ones(8),)
+        assert math.isfinite(family_norms(fam, 1.0, 1e-8, square=True)[1])
+        with pytest.raises(ConvergenceError) as alone:
+            family_norms(fam, 1.0, 1e-8, block)
+        with pytest.raises(ConvergenceError) as exc:
+            family_norms(fam, 1.0, 1e-8, block, square=True)
+        assert str(exc.value) == (
+            "quantity 0 did not converge to tol=1e-08 after 7 refinements; converged: ['square']"
+        )
+        assert exc.value.estimates == alone.value.estimates
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
