@@ -279,8 +279,7 @@ def orthonormal_const(params: JacobiParams, n: int) -> float:
     d_0 = total_mass^{-1/2}; for n >= 1, d_n^2 = (2n+alpha+beta+1) 2^{-(alpha+beta+1)}
     B(n+1, n+alpha+beta+1) / B(n+alpha+1, n+beta+1), in logs so large n does not overflow.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n = _degree(n)
     if n == 0:
         return total_mass(params) ** -0.5
     a, b = params.alpha, params.beta
@@ -310,6 +309,7 @@ def darboux_phase(params: JacobiParams, theta) -> np.ndarray | float:
 
 def near_one_window(n: int, d: float = 0.5) -> tuple[float, float]:
     """The interval [1 - d/n^2, 1] where P_n(x) stays comparable to n^alpha."""
+    n = _degree(n)
     if n < 1:
         raise DomainError("n must be >= 1")
     if not (math.isfinite(d) and d > 0):  # nan and inf pass d <= 0
@@ -325,6 +325,7 @@ def jacobi_matrix(params: JacobiParams, m: int) -> tuple[np.ndarray, np.ndarray]
     It holds the recurrence of the orthonormal p_0..p_{m-1}; its eigenvalues
     are the zeros of P_m (Golub-Welsch).
     """
+    m = _degree(m)
     if m < 1:
         raise DomainError("m must be >= 1")
     a, b = params.alpha, params.beta
@@ -440,6 +441,7 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     certified raises RuntimeError.
     """
     diag, off = jacobi_matrix(params, n)
+    n = diag.size
     if n == 1:
         diag.flags.writeable = False
         return diag
@@ -535,7 +537,7 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
     past k = n) and are summed by Horner in h / H; only these two steps run in blocks of _BLOCK / 8
     points of x, each block with the terms of the zeros it reaches. Below _SERIES_MIN_DEGREE, eval_P's.
     """
-    x = np.atleast_1d(_check_x(x)).ravel()
+    x, n = np.atleast_1d(_check_x(x)).ravel(), _degree(n)
     if n < _SERIES_MIN_DEGREE:
         return eval_P_many(params, [n], x)[0]
     a, b = params.alpha, params.beta
@@ -594,6 +596,7 @@ def largest_root(params: JacobiParams, n: int) -> float:
     each comes from the scalar pivot recurrence.
     """
     diag, off = jacobi_matrix(params, n)
+    n = diag.size
     if n == 1:
         return float(diag[0])
     a, b = params.alpha, params.beta

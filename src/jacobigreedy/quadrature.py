@@ -31,7 +31,8 @@ jacobi_iter pass per level over blocks of points, each reduced over the family.
 Combinations and the square function stream into whole-mesh sums, on blocks of
 jacobi._BLOCK points; the sign and partial sums, which need every row at once,
 read the rows the pass holds, on blocks of at most 32 MiB of rows (up to 4096
-rows). Every integral of |.|^p in family_norms and lp_norm_between_zeros is
+rows) written into one buffer for every level, the sign sums _BLOCK / 16 columns
+at a time. Every integral of |.|^p in family_norms and lp_norm_between_zeros is
 _pth_sum: abs, one sqrt and products when 2p is an integer up to 12, np.power
 otherwise. lp_norms_of_rows, behind lp_norm only, takes rows of any function.
 At alpha = beta the mesh is folded at theta = pi/2 and evaluated below it only,
@@ -88,7 +89,7 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     which becomes 0.
     """
     diag, off = jacobi_matrix(params, m)
-    nodes = jacobi_zeros(params, m)
+    m, nodes = diag.size, jacobi_zeros(params, m)
     p_prev = np.zeros(m)
     p_cur = np.full(m, total_mass(params) ** -0.5)
     christoffel = p_cur * p_cur
@@ -198,18 +199,22 @@ def _pth_sum(v: np.ndarray, w: np.ndarray, p: float, out: np.ndarray | None = No
     When 2p is an integer and 1 <= p <= 6, |v|^p comes from abs, one sqrt (if p is a half-integer)
     and products (_abs_pow): 1 to 4 passes of about 1 ns a point, against about 5 ns for np.power,
     and within 4 ulp of it (2 ulp up to p = 4, measured on 10^7 values); an overflow is inf all the
-    same. This runs in pieces of at most _BLOCK points, with one piece of scratch. Other p take
+    same. This runs in pieces of at most _BLOCK points, with one piece of scratch: rows longer than
+    _BLOCK in pieces of one row, shorter rows in slabs of _BLOCK // width of them. Other p take
     np.power, bit for bit.
     """
     out = v if out is None else out
     if not ((2.0 * p).is_integer() and 1.0 <= p <= 6.0):
         return np.power(np.abs(v, out=out), p, out=out) @ w
-    width = min(v.shape[-1], _BLOCK) or 1
-    tmp = np.empty(width)
-    for src, dst in zip(np.atleast_2d(v), np.atleast_2d(out)):
-        for lo in range(0, src.size, width):
-            piece = slice(lo, lo + width)
-            _abs_pow(src[piece], p, dst[piece], tmp[: dst[piece].size])
+    src, dst = np.atleast_2d(v), np.atleast_2d(out)
+    width = min(src.shape[1], _BLOCK) or 1
+    slab = _BLOCK // width
+    tmp = np.empty((min(slab, len(src)), width))
+    for top in range(0, len(src), slab):
+        for lo in range(0, src.shape[1], width):
+            piece = (slice(top, top + slab), slice(lo, lo + width))
+            part = dst[piece]
+            _abs_pow(src[piece], p, part, tmp[: part.shape[0], : part.shape[1]])
     return out @ w
 
 
@@ -362,22 +367,24 @@ def lp_norm(
     return float(lp_norms_of_rows(lambda x: np.atleast_2d(f(x)), params, p, degree, tol)[0])
 
 
-def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, comb: np.ndarray, sq, hold: bool, scales):
+def _family_pass(family, x: np.ndarray, coeffs: np.ndarray, comb: np.ndarray, sq, held, scales):
     """Add sum_j coeffs[i, j] P_{d_j} at x to comb[i], and sum_j (scales[j] P_{d_j})^2 to sq unless it
     is None.
 
     A generator: one jacobi_iter run per block of points, the family reduced within the
-    block, so comb and sq run over the points of x only. If hold, every row scales[j] P_{d_j}
-    of a block is held and (block, rows) is yielded after it; the caller may overwrite rows. Held
-    blocks are W = min(_BLOCK, max(_BLOCK / 32, 128 _BLOCK / N)) points wide: 32 MiB of rows up to
-    N = 4096; other blocks _BLOCK. jacobi_iter's lambda_n goes into each scalar factor.
+    block, so comb and sq run over the points of x only. If held (a flat buffer of N x W
+    entries, N = len(family)) is given, blocks are W points wide, every row scales[j] P_{d_j} of a
+    block is held in the buffer's first N x width entries, width = min(W, x.size), and (block, rows)
+    is yielded after it; the caller may overwrite rows. Other blocks are _BLOCK points wide.
+    jacobi_iter's lambda_n goes into each scalar factor.
     """
-    step = min(_BLOCK, max(_BLOCK // 32, 128 * _BLOCK // len(family))) if hold else _BLOCK
+    hold = held is not None
+    step = held.size // len(family) if hold else _BLOCK
     at: dict[int, list[int]] = {}
     for j, d in enumerate(family.degrees):
         at.setdefault(d, []).append(j)
     width = min(x.size, step)
-    rows = np.empty((len(family) if hold else 1, width))
+    rows = held[: len(family) * width].reshape(len(family), width) if hold else np.empty((1, width))
     tmp = np.empty(width)
     for lo in range(0, x.size, step):
         block, m = slice(lo, lo + step), min(step, x.size - lo)
@@ -417,8 +424,9 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
     parities, as even- and odd-degree parts e and o, |e + o|^p at a node and |e - o|^p at its mirror.
     Combinations and the square function are summed over the whole mesh, then integrated; the sign
     sums and the prefix sums are integrated block by block from the rows _family_pass holds.
-    At p = 2, Parseval sums and no mesh. Memory: O((rows + samples) x W) while the sign or prefix
-    sums are open (32 MiB of rows up to 4096 rows; W: _family_pass), O(points) per other quantity.
+    At p = 2, Parseval sums and no mesh. Memory: O(points) per quantity, and for the sign or prefix
+    sums one buffer of N x W held rows for every level, W = min(_BLOCK, max(_BLOCK / 32, 128 _BLOCK
+    / N)) points (32 MiB up to N = 4096 rows), plus samples x _BLOCK / 16 sign sums (4 MiB at 256).
     ValueError: p not finite and >= 1. EvaluationError: a coefficient not finite, or a recurrence
     overflow (values, or their p-th powers, past the doubles).
     """
@@ -438,9 +446,10 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
     odd = np.array(family.degrees) % 2
     named = {"square": square, "prefix": prefix is not None, "rademacher": signs is not None}
     keys = [*range(k), *(key for key, wanted in named.items() if wanted)]
+    held = None  # the N x W held rows of every level
 
     def estimator(theta, w, open_):
-        nonlocal pth_powers
+        nonlocal pth_powers, held
         sym = w[0] + w[1] if w.ndim == 2 else w  # w = (each node's weight, its mirror's) if folded
         mixed = w.ndim == 2 and 0 < odd.sum() < len(odd)  # then each sum is stacked as (e; o)
         split = (lambda a: np.concatenate([a * (1 - odd), a * odd])) if mixed else (lambda a: a)
@@ -457,15 +466,19 @@ def family_norms(family, p: float, tol: float = 1e-8, combos=(), square: bool = 
         comb, sq = np.zeros((len(cs), x.size)), np.zeros(x.size) if "square" in open_ else None
         pre, rad = "prefix" in open_, "rademacher" in open_
         in_scales = pre and not rad and sq is None  # only the prefix sums read the rows: c_j goes into s_j
-        acc, sums = np.zeros(len(family)), None
+        acc = np.zeros(len(family))
         if rad:
             eps, pth_powers = split(signs), np.zeros(len(signs))  # the bootstrap reads the last level's
+            sums = np.empty((len(eps), min(_BLOCK // 16, x.size)))
+        if (pre or rad) and held is None:
+            held = np.empty(len(family) * min(_BLOCK, max(_BLOCK // 32, 128 * _BLOCK // len(family))))
         scales = family.scales * prefix if in_scales else family.scales
-        for block, rows in _family_pass(family, x, cs, comb, sq, pre or rad, scales):
-            if rad:  # eps @ rows, summed over the block as |.|^p
-                sums = np.empty((len(eps), rows.shape[1])) if sums is None else sums
-                v = np.matmul(eps, rows, out=sums[:, : rows.shape[1]])
-                pth_powers += pth(*(np.split(v, 2) if mixed else [v]), block=block)
+        for block, rows in _family_pass(family, x, cs, comb, sq, held if pre or rad else None, scales):
+            if rad:  # eps @ rows, summed over the block as |.|^p, sums.shape[1] columns at a time
+                for lo in range(0, rows.shape[1], sums.shape[1]):
+                    v = np.matmul(eps, rows[:, lo : lo + sums.shape[1]], out=sums[:, : rows.shape[1] - lo])
+                    cols = slice(block.start + lo, block.start + lo + v.shape[1])
+                    pth_powers += pth(*(np.split(v, 2) if mixed else [v]), block=cols)
             if pre:  # rows[i] = c_i f_i, then in place the prefix sums e + o, and e - o in one running row
                 if not in_scales:
                     rows *= prefix[:, None]

@@ -251,8 +251,26 @@ def test_greedy_prefix_norms_match_each_partial_sum(monkeypatch, ab, p):
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The probes run in a fresh interpreter and measure the growth of its own peak RSS, VmHWM (Linux):
+# ru_maxrss would start at the peak of the process that spawned it, here the test run's.
+PEAK = """
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+"""
+
+
+def grown_by(probe: str) -> tuple[float, float]:
+    """(the value the probe prints, the MB its peak RSS grew by) of one probe in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PEAK + probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    value, grown_mb = proc.stdout.split()
+    return float(value), float(grown_mb)
+
+
 MEMORY_PROBE = """
-import resource
 import numpy as np
 import jacobigreedy as jg
 
@@ -260,10 +278,10 @@ rng = np.random.default_rng(7)
 support = rng.choice(1000, size=50, replace=False)
 e = jg.Expansion(jg.JacobiParams(0.0, 0.0), jg.NormalizationMode.sqrt_scaled(),
                  {int(j): float(c) for j, c in zip(support, rng.standard_normal(50))})
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_mb()
 ratio = jg.quasi_greedy_ratio(e, 1.5, tol=1e-6)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(ratio, (after - before) / 1024)  # ru_maxrss is in KiB
+after = peak_mb()
+print(ratio, after - before)
 """
 
 
@@ -271,28 +289,23 @@ def test_greedy_partial_sums_are_reduced_block_by_block():
     # The 50 partial sums, of degree up to 989, converge at level 4, a mesh of
     # 121,512 points, where one (partial sums x points) matrix takes 49 MB.
     # Holding the matrices whole grew the peak by 151 MB; by blocks it grows by
-    # about 31 MB. Run in a fresh interpreter, so the peak is this call's own.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    ratio, grown_mb = map(float, proc.stdout.split())
+    # about 31 MB.
+    ratio, grown_mb = grown_by(MEMORY_PROBE)
     assert ratio >= 1.0
     assert grown_mb < 80.0
 
 
 SIGN_SUM_PROBE = """
-import resource
 import jacobigreedy as jg
 from jacobigreedy.experiments import staggered_block
 from jacobigreedy.quadrature import family_norms
 
 params = jg.JacobiParams(0.5, 0.0)
 fam = jg.JacobiFamily(params, jg.NormalizationMode.sqrt_scaled(), staggered_block(512))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_mb()
 mean, err = family_norms(fam, 2.5, 1e-6, samples=256)[2]
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(mean, (after - before) / 1024)  # ru_maxrss is in KiB
+after = peak_mb()
+print(mean, after - before)
 """
 
 
@@ -300,12 +313,36 @@ def test_sign_sums_are_reduced_block_by_block():
     # 512 rows converge at level 1, a mesh of 24,168 points, where the rows
     # of one whole-mesh block take 99 MB and the 256 sign sums over it 49.5 MB.
     # Those grew the peak by 147 MB; on blocks of 8,192 points (32 MiB of rows)
-    # reduced in place it grows by about 53 MB. Run in a fresh interpreter, so
-    # the peak is this call's own.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", SIGN_SUM_PROBE], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    mean, grown_mb = map(float, proc.stdout.split())
+    # reduced in place it grew by about 58 MB, and with the rows in one buffer
+    # for every level and the sign sums on 2,048 columns (4 MiB) at a time by
+    # about 46 MB.
+    mean, grown_mb = grown_by(SIGN_SUM_PROBE)
     assert mean > 0.0
-    assert grown_mb < 80.0
+    assert grown_mb < 50.0
+
+
+TWO_EXPANSIONS_PROBE = """
+import numpy as np
+import jacobigreedy as jg
+
+params, mode = jg.JacobiParams(0.0, 0.0), jg.NormalizationMode.sqrt_scaled()
+rng = np.random.default_rng(7)
+expansions = [jg.Expansion(params, mode, {int(j): float(c) for j, c in
+                                          zip(rng.choice(1000, 200, replace=False), rng.standard_normal(200))})
+              for _ in range(2)]
+before = peak_mb()
+ratios = [jg.quasi_greedy_ratio(e, p, tol=1e-6) for e in expansions for p in (1.5, 3.0)]
+after = peak_mb()
+print(min(ratios), after - before)
+"""
+
+
+def test_greedy_partial_sums_reuse_one_row_buffer():
+    # Each of the four family passes holds its 200 rows on blocks of 20,971
+    # points, 32 MiB, written into one buffer for all of its mesh levels.
+    # A fresh 32 MiB block at every level grew the peak by about 59 MB over
+    # the two expansions, against about 38 MB for one alone; with one buffer
+    # per pass the two grow it by about 38 MB.
+    ratio, grown_mb = grown_by(TWO_EXPANSIONS_PROBE)
+    assert ratio >= 1.0
+    assert grown_mb < 48.0

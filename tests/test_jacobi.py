@@ -133,13 +133,23 @@ class TestEvalP:
          (lambda: jacobi_combination(LEG, {2.5: 1.0, 1: 1.0}, 0.3), "degree 2.5 is not an integer"),
          (lambda: jacobi_combination(LEG, {-1: 1.0, 2: 1.0}, 0.3), "degrees must be >= 0, got -1"),
          (lambda: jacobi_combination(LEG, {-1: 1.0}, 0.3), "degrees must be >= 0, got -1"),
-         (lambda: eval_P_many(LEG, [3, -2], 0.3), "degrees must be >= 0, got -2")],
+         (lambda: eval_P_many(LEG, [3, -2], 0.3), "degrees must be >= 0, got -2"),
+         (lambda: orthonormal_const(LEG, 2.5), "degree 2.5 is not an integer"),
+         (lambda: orthonormal_const(LEG, -1), "degrees must be >= 0, got -1"),
+         (lambda: near_one_window(2.5), "degree 2.5 is not an integer"),
+         (lambda: jacobi_matrix(LEG, 2.5), "degree 2.5 is not an integer"),
+         (lambda: jacobi_zeros(LEG, 2.5), "degree 2.5 is not an integer"),
+         (lambda: largest_root(LEG, 2.5), "degree 2.5 is not an integer"),
+         (lambda: eval_P_from_zeros(LEG, 300.5, 0.3), "degree 300.5 is not an integer")],
         ids=["eval_P", "eval_P_many", "eval_P_many-nan", "combination", "combination-negative",
-             "combination-negative-only", "eval_P_many-negative"],
+             "combination-negative-only", "eval_P_many-negative", "orthonormal_const",
+             "orthonormal_const-negative", "near_one_window", "jacobi_matrix", "jacobi_zeros",
+             "largest_root", "eval_P_from_zeros"],
     )
     def test_one_degree_rule_in_every_evaluator(self, evaluate, message):
         # eval_P(LEG, 2.5, .) returned P_2 and {-1: 1.0, 2: 1.0} P_2 alone; {-1: 1.0} raised an
-        # IndexError and {2.5: 1.0, 1: 1.0} a TypeError
+        # IndexError and {2.5: 1.0, 1: 1.0} a TypeError; orthonormal_const(LEG, 2.5) returned
+        # d_3 and near_one_window(2.5) a window
         with pytest.raises(DomainError, match=re.escape(message)):
             evaluate()
 
@@ -149,6 +159,14 @@ class TestEvalP:
         assert eval_P(LEG, np.float64(4.0), 0.3) == eval_P(LEG, 4, 0.3)
         assert np.array_equal(jacobi_combination(LEG, {np.int64(3): 1.0, 2.0: -0.5}, x),
                               jacobi_combination(LEG, {3: 1.0, 2: -0.5}, x))
+        # these raised numpy's TypeError for an integral float; jacobi_zeros unwrapped, past its cache
+        params = JacobiParams(1.0, 0.5)
+        assert orthonormal_const(params, 3.0) == orthonormal_const(params, 3)
+        assert near_one_window(np.float64(3.0)) == near_one_window(3)
+        assert all(np.array_equal(a, b) for a, b in zip(jacobi_matrix(params, 3.0), jacobi_matrix(params, 3)))
+        assert np.array_equal(jacobi.jacobi_zeros.__wrapped__(params, 301.0), jacobi_zeros(params, 301))
+        assert largest_root(params, 3.0) == largest_root(params, 3)
+        assert np.array_equal(eval_P_from_zeros(params, 300.0, x), eval_P_from_zeros(params, 300, x))
 
     @settings(max_examples=25, deadline=None)
     @given(

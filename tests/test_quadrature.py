@@ -314,6 +314,17 @@ class TestPthSum:
         monkeypatch.setattr(quadrature, "_BLOCK", 7)
         assert np.array_equal(_pth_sum(v.copy(), w, 2.5), whole)
         assert whole.shape == (3,) and whole == pytest.approx([np.abs(r) ** 2.5 @ w for r in v], rel=1e-14)
+        # rows shorter than _BLOCK go in slabs of _BLOCK // 50 = 3 rows, the last one short: every
+        # bit of |v|^p is that of its row raised alone
+        monkeypatch.setattr(quadrature, "_BLOCK", 150)
+        v = np.random.default_rng(6).standard_normal((11, 50))
+        for p in (1.0, 2.0, 2.5, 3.0, 4.5):
+            got, rows = np.empty_like(v), np.empty_like(v)
+            total = _pth_sum(v, w, p, out=got)
+            for r, o in zip(v, rows):
+                _pth_sum(r, w, p, out=o)
+            assert np.array_equal(got, rows)
+            assert np.array_equal(total, got @ w)
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 6.0, 2.01])
     def test_powers_past_the_doubles_raise_evaluation_error(self, p):
