@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -44,6 +45,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@functools.cache  # one parser per process: building the six subparsers costs 1-3 ms, and nothing mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobigreedy",

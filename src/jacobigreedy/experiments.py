@@ -19,7 +19,7 @@ from .jacobi import (
     darboux_amplitude,
     darboux_phase,
     eval_P_many,
-    jacobi_iter,
+    eval_P_near_one,
     largest_root,
     near_one_window,
 )
@@ -257,32 +257,23 @@ def near_one_experiment(
     d_sweep: Sequence[float] = (0.5, 0.25, 0.125),
 ) -> NearOneResult:
     """Envelope of P_n(x)/n^alpha over near-one windows (33 evenly spaced x
-    in each near_one_window(n, d), every window of every n in one pass up to
-    max(n_grid), each n read at its own windows only), plus root scaling.
+    in each near_one_window(n, d), each degree at its own windows by
+    eval_P_near_one: the series in (1 - x)/2 at O(terms) per point, or one
+    recurrence pass for a window too wide for it), plus root scaling.
 
     Picks the largest d in the sweep whose envelope stays positive with
     max/min <= 10. The largest root z_n obeys 1 - z_n ~ n^{-2}.
     """
     ds = sorted(d_sweep, reverse=True)
-    windows, scales, want = [], [], {}
-    for i, n in enumerate(n_grid):  # every degree's checks, in grid order, before the pass
+    windows, scales = [], []
+    for n in n_grid:  # every degree's checks, in grid order, before any value
         windows.append([np.linspace(*near_one_window(n, d), 33) for d in ds])
         try:
             scales.append(float(n) ** params.alpha)
         except OverflowError:
             raise OverflowError(f"n^alpha overflows at n = {n}, alpha = {params.alpha:g}") from None
-        want.setdefault(int(n), []).append(i)
-    windows = np.reshape(windows, (len(scales), len(ds), 33))
-    # every degree runs over every window, but is read at its own windows only: a high degree may
-    # overflow at a low degree's wider windows, and that is no error
-    values = np.empty(windows.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow that is read is reported below
-        for n, rn, ln in jacobi_iter(params, windows, max(want, default=0)):
-            for i in want.get(n, ()):
-                np.multiply(rn[i], ln, out=values[i])
-    if not np.isfinite(values).all():
-        raise OverflowError("Jacobi recurrence overflowed")
-    ratios = values / np.reshape(scales, (-1, 1, 1))
+    ratios = np.reshape([eval_P_near_one(params, n, w) / s for n, w, s in zip(n_grid, windows, scales)],
+                        (len(scales), len(ds), 33))
     lo, hi = ratios.min(axis=(0, 2), initial=math.inf), ratios.max(axis=(0, 2), initial=-math.inf)
     rows = tuple((float(d), float(a), float(b)) for d, a, b in zip(ds, lo, hi))
     chosen = next((d for d, a, b in rows if a > 0 and b / a <= 10.0), None)

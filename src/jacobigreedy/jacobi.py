@@ -23,7 +23,11 @@ cached per weight and degree (the positive half only at alpha = beta);
 largest_root gives the top one by scalar Newton from above.
 eval_P_from_zeros evaluates P_n between its zeros by the Taylor series of its
 differential equation about the nearest zero, after one recurrence pass at
-those zeros in place of one at every point.
+those zeros in place of one at every point. Near x = 1, where
+n (n + alpha + beta + 1)(1 - x)/2 <= (alpha + 1)/2, eval_P_near_one sums the
+terminating hypergeometric series in (1 - x)/2 instead, O(terms) per point and
+free of the recurrence's n^2 eps floor there; largest_root takes its Newton
+steps from the same series while its rounding keeps the zero within an ulp.
 """
 
 from __future__ import annotations
@@ -585,15 +589,109 @@ def eval_P_from_zeros(params: JacobiParams, n: int, x) -> np.ndarray:
     return out
 
 
+def _series_ratios(params: JacobiParams, n: int, z: float) -> list:
+    """f_0, f_1, ... with c_{k+1} = f_k t c_k, c_0 = 1: the terms of F(t) = 2F1(-n, n + alpha + beta + 1;
+    alpha + 1; t), as many as leave out less than 2^-54 wherever n (n + alpha + beta + 1) |t| <= z.
+
+    |c_{k+1} / c_k| = (n - k)(n + alpha + beta + 1 + k) |t| / ((alpha + 1 + k)(k + 1)) is at most
+    r_k = z / ((alpha + 1 + k)(k + 1)), as (n - k)(n + alpha + beta + 1 + k) = n (n + alpha + beta + 1)
+    - k (alpha + beta + 1 + k) and alpha + beta + 1 > -1. So |c_k| <= r_0 ... r_{k-1}, and r_k falls
+    with k: once that bound is below 2^-54 with r_k <= 1/2, the terms left out, which alternate in sign
+    for t > 0 and fall, sum to at most 2^-54. The series ends at k = n.
+    """
+    a, b = params.alpha, params.beta
+    f, bound = [], 1.0
+    for k in range(n):
+        r = z / ((a + 1.0 + k) * (k + 1.0))
+        if bound <= 2.0**-54 and r <= 0.5:
+            break
+        f.append((k - n) * (n + a + b + 1.0 + k) / ((a + 1.0 + k) * (k + 1.0)))
+        bound *= r
+    return f
+
+
+def _value_at_one(a: float, n: int) -> float:
+    """P_n(1) = binom(n + alpha, n) = binom(n + g, n) prod_{j=1}^{m} (n + g + j) / (g + j) for
+    alpha = m + g, m = max(0, floor(alpha)). binom(n + g, n) = 1 / ((n + g + 1) B(n + 1, g + 1)) has a
+    logarithm below log(n + 1), so its exp loses a few ulp, where exp(log binom(n + alpha, n)) would
+    lose |log binom| ulp: 1.1e-14 relative at alpha = 10, n = 2560. For m >= n, the product
+    prod_{j=1}^{n} (alpha + j) / j is the shorter one."""
+    m = max(0, math.floor(a))
+    if m >= n:
+        return math.prod((a + j) / j for j in range(1, n + 1))
+    g = a - m
+    head = math.exp(-math.log(n + g + 1.0) - _log_beta(n + 1.0, g + 1.0)) if g else 1.0
+    return head * math.prod((n + g + j) / (g + j) for j in range(1, m + 1))
+
+
+def eval_P_near_one(params: JacobiParams, n: int, x) -> np.ndarray:
+    """P_n(x) at a flat x: by the terminating hypergeometric series in t = (1 - x)/2 (DLMF 18.5.7),
+    P_n(1 - 2t) = binom(n + alpha, n) F(t), F = sum_k c_k (_series_ratios), if every x has
+    n (n + alpha + beta + 1) |t| <= (alpha + 1)/2, else by one eval_P_many pass.
+
+    There each ratio |c_{k+1} / c_k| is at most r_0 <= 1/2: the terms alternate in sign and at least
+    halve, so F >= 1 - |c_1| >= 1/2, the first term left out bounds the truncation, and
+    sum_k |c_k| <= 2 keeps the rounding of their Horner sum in t to a few ulp of F. For n >= 2 that
+    range holds only x > 1/2, where 1 - x is exact, so the series has no n^2 eps floor; the recurrence
+    has one near x = 1 (up to 2.2e-10 relative at n = 2560, alpha = -0.4).
+    """
+    x, n = np.atleast_1d(_check_x(x)).ravel(), _degree(n)
+    a, b = params.alpha, params.beta
+    t = 0.5 * (1.0 - x)
+    z = n * (n + a + b + 1.0) * np.abs(t).max(initial=0.0)
+    if not z <= 0.5 * (a + 1.0):
+        return eval_P_many(params, [n], x)[0]
+    y = np.ones(x.size)
+    for fk in reversed(_series_ratios(params, n, z)):
+        y *= t
+        y *= fk
+        y += 1.0
+    scale = _value_at_one(a, n)
+    if not math.isfinite(scale):
+        raise OverflowError(f"P_n(1) = binom(n + alpha, n) overflows at n = {n}, alpha = {a:g}")
+    return y * scale
+
+
+def _series_root(params: JacobiParams, n: int, x: float) -> float | None:
+    """The top zero of P_n by Newton's method in t from x = 1 - 2t above it, on F(t) = sum_k c_k
+    (_series_ratios): the step is -F t / D, D = sum_k k c_k = t F'(t).
+
+    None as soon as 2 K A t >= -D, A = sum_k |c_k| over the K terms past c_0, or if 100 steps do not
+    meet _done. The rounding of F, about K u A (u = 2^-53), moves the zero by K u A t / |D| in t, so
+    2 K A t < |D| keeps it within u in x. A bound on A alone would not: at alpha = 20, n = 4000, A is
+    836 and the zero 9 ulp off, as |D| is 3e-4 there.
+    """
+    lam = n * (n + params.alpha + params.beta + 1.0)
+    t = 0.5 * (1.0 - x)
+    for _ in range(100):
+        f = _series_ratios(params, n, lam * t)
+        c, s, d, total = 1.0, 1.0, 0.0, 1.0
+        for k, fk in enumerate(f, 1):
+            c *= fk * t
+            s += c
+            d += k * c
+            total += abs(c)
+        if not 2.0 * len(f) * total * t < -d:  # also where D is not negative, as at t = 0
+            return None
+        step = -s * t / d
+        t += step
+        if not step > 0.0 or _done(params, n, 1.0 - 2.0 * t, 2.0 * step):
+            return 1.0 - 2.0 * t
+    return None
+
+
 def largest_root(params: JacobiParams, n: int) -> float:
-    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): Newton's method from above, O(n) per step.
+    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): Newton's method from above, O(terms) per step near x = 1.
 
     It starts at theta = arccos x = j / rho, j a lower bound of the first zero of the Bessel function
     J_alpha (the larger of Ismail-Muldoon's sqrt((alpha + 1)(alpha + 5)) and Qu-Wong's
     alpha + 2.3381 (alpha / 2)^{1/3}), rho = n + (alpha + beta + 1)/2, halving theta until every pivot
-    of J - xI is negative, i.e. x lies above every zero, or x is 1, to which the top zero then rounds.
-    Every zero is real, so P_n is convex above them and the steps fall to the top zero monotonically;
-    each comes from the scalar pivot recurrence.
+    of J - xI is negative, i.e. x lies above every zero, or x is 1, to which the top zero then rounds:
+    one O(n) pass when j is a true bound. Every zero is real, so F(t) = P_n(1 - 2t) is positive,
+    decreasing and convex below t = (1 - z_n)/2, as P_n is above z_n, and Newton's steps rise to it
+    monotonically. They take eval_P_near_one's series in t, O(terms) each (_series_root), while its
+    rounding keeps the zero within an ulp; otherwise (large alpha or beta, or a zero far from 1 at small
+    n) they start again from the same x on the scalar pivot recurrence, O(n) each.
     """
     diag, off = jacobi_matrix(params, n)
     n = diag.size
@@ -611,6 +709,9 @@ def largest_root(params: JacobiParams, n: int) -> float:
         if x == 1.0:  # the top zero rounds to 1 (alpha near -1)
             return x
         theta *= 0.5
+    z = _series_root(params, n, x)
+    if z is not None:
+        return z
     for _ in range(100):
         s = float(_newton_step(params, n, np.float64(x), q))
         x -= s

@@ -390,6 +390,26 @@ class TestEntryPoint:
         assert done.returncode == code, done.stderr
         assert (tmp_path / "out" / "witness.csv").is_file() == (code == 0)
 
+    def test_one_parser_per_process_writes_what_fresh_interpreters_do(self, tmp_path):
+        # main builds its parser once per process: a run after one whose --d failed to parse (exit 2), and
+        # with no --d of its own, writes the files of a fresh `python -m jacobigreedy.cli`, timestamp aside
+        runs = {"d": ["near-one", "--d", "0.25"], "default": ["near-one"]}
+        assert run([*runs["d"], "--out", str(tmp_path / "one" / "d")]) == 0
+        assert run(["near-one", "--d", "wide"]) == 2
+        assert run([*runs["default"], "--out", str(tmp_path / "one" / "default")]) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        for key, argv in runs.items():
+            one, fresh = tmp_path / "one" / key, tmp_path / "fresh" / key
+            done = subprocess.run([sys.executable, "-m", "jacobigreedy.cli", *argv, "--out", str(fresh)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            for name in ("near-one.csv", "near-one.json"):
+                assert (one / name).read_bytes() == (fresh / name).read_bytes()
+            manifests = [json.loads((side / "manifest.json").read_text()) for side in (one, fresh)]
+            for m in manifests:
+                del m["timestamp"]
+            assert manifests[0] == manifests[1]
+
     @pytest.mark.parametrize("argv", [["norms", "--p", "3", "--n-min", "256", "--n-max", "512"],
                                       ["witness", "--p", "2", "--N-min", "8", "--N-max", "16", "--samples", "4"]],
                              ids=["norms", "witness-p2"])

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobigreedy import experiments, jacobi
+from jacobigreedy import jacobi
 from jacobigreedy.jacobi import JacobiParams, NormalizationMode
 from jacobigreedy.experiments import (
     ExperimentConfig,
@@ -194,6 +195,22 @@ def near_one_rows_per_degree(params, n_grid, d_sweep):
     return tuple((float(d), float(a), float(b)) for d, a, b in zip(ds, lo, hi))
 
 
+def near_one_rows_mpmath(params, n_grid, d_sweep):
+    """near_one_experiment's rows from 50-digit mpmath at the same double x."""
+    ds = sorted(d_sweep, reverse=True)
+    with mpmath.workdps(50):
+        ratios = [[[mpmath.jacobi(n, params.alpha, params.beta, x) / mpmath.mpf(n) ** params.alpha
+                    for x in np.linspace(*jacobi.near_one_window(n, d), 33)] for d in ds] for n in n_grid]
+        return tuple((float(d), float(min(min(r[i]) for r in ratios)), float(max(max(r[i]) for r in ratios)))
+                     for i, d in enumerate(ds))
+
+
+def assert_rows_close(got, want, rel):
+    assert [d for d, _, _ in got] == [d for d, _, _ in want]
+    for (_, *g), (_, *w) in zip(got, want):
+        assert (np.abs(np.subtract(g, w)) <= rel * np.abs(w)).all(), (got, want)
+
+
 class TestNearOne:
     def test_legendre_upper_envelope_is_one(self):
         res = near_one_experiment(LEG, (10, 20, 40), d_sweep=(0.5,))
@@ -207,10 +224,19 @@ class TestNearOne:
         assert res.root_fit.slope == pytest.approx(-2.0, abs=0.06)
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.5, 0.5), (-0.4, 2.0)])
-    def test_rows_bit_identical_to_per_degree_passes(self, ab):
+    def test_rows_match_mpmath_and_per_degree_passes(self, ab):
         params, n_grid, d_sweep = JacobiParams(*ab), (40, 10, 160, 40), (0.125, 0.5, 0.25)
         res = near_one_experiment(params, n_grid, d_sweep)
-        assert res.rows == near_one_rows_per_degree(params, n_grid, d_sweep)
+        assert_rows_close(res.rows, near_one_rows_mpmath(params, n_grid, d_sweep), 1e-14)
+        # the recurrence is known near x = 1 only to about n^2 eps
+        assert_rows_close(res.rows, near_one_rows_per_degree(params, n_grid, d_sweep),
+                          max(n_grid) ** 2 * np.finfo(float).eps)
+
+    def test_windows_at_large_degree_match_mpmath(self):
+        # at n = 2560 the recurrence is up to 2.2e-10 off here; the series in (1 - x)/2 has no n^2 eps floor
+        params, n_grid = JacobiParams(-0.4, 0.0), (1280, 2560)
+        res = near_one_experiment(params, n_grid)
+        assert_rows_close(res.rows, near_one_rows_mpmath(params, n_grid, (0.5, 0.25, 0.125)), 1e-13)
 
     def test_far_windows_of_a_low_degree_do_not_overflow(self):
         # at beta = 300 and d = 200 the window of n = 10 is all of [-1, 1], where P_1280(-1) =
@@ -241,8 +267,8 @@ class TestDarbouxEnvelope:
 
 
 class TestRecurrencePasses:
-    """Each pointwise experiment starts one recurrence for its whole grid: near-one for every window
-    of every degree, darboux-check for every theta."""
+    """darboux-check starts one recurrence for its whole grid; near-one starts one only for a degree
+    whose windows leave the range of the series in (1 - x)/2."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -253,13 +279,16 @@ class TestRecurrencePasses:
             started.append(nmax)
             return kernel(params, x, nmax)
 
-        for module in (jacobi, experiments):  # the evaluators' kernel, and near-one's own pass
-            monkeypatch.setattr(module, "jacobi_iter", counted)
+        monkeypatch.setattr(jacobi, "jacobi_iter", counted)
         return started
 
     def test_near_one_one_pass(self, passes):
-        near_one_experiment(JacobiParams(1.5, 0.5), (40, 10, 160, 40), d_sweep=(0.5, 0.25, 0.125))
-        assert passes == [160]
+        params, n_grid = JacobiParams(1.5, 0.5), (40, 10, 160, 40)
+        near_one_experiment(params, n_grid, d_sweep=(0.5, 0.25, 0.125))
+        assert passes == []
+        # at d = 2 only n = 10 leaves the range: n (n + alpha + beta + 1) (d / 2n^2) = 1.3 > (alpha + 1)/2
+        near_one_experiment(params, n_grid, d_sweep=(2.0,))
+        assert passes == [10]
 
     def test_darboux_one_pass(self, passes):
         darboux_envelope(JacobiParams(1.0, 0.5), (16, 32, 64, 128))

@@ -18,6 +18,7 @@ from jacobigreedy.jacobi import (
     eval_P,
     eval_P_from_zeros,
     eval_P_many,
+    eval_P_near_one,
     jacobi_combination,
     jacobi_matrix,
     jacobi_zeros,
@@ -121,6 +122,7 @@ class TestEvalP:
             lambda: eval_P_many(LEG, [1, 3], x),
             lambda: jacobi_combination(LEG, {3: 1.0}, x),
             lambda: eval_P_from_zeros(LEG, 300, x),
+            lambda: eval_P_near_one(LEG, 3, x),
         ):
             with pytest.raises(DomainError, match=r"x must lie in \[-1, 1\], got max \|x\| = nan"):
                 evaluate()
@@ -140,11 +142,12 @@ class TestEvalP:
          (lambda: jacobi_matrix(LEG, 2.5), "degree 2.5 is not an integer"),
          (lambda: jacobi_zeros(LEG, 2.5), "degree 2.5 is not an integer"),
          (lambda: largest_root(LEG, 2.5), "degree 2.5 is not an integer"),
-         (lambda: eval_P_from_zeros(LEG, 300.5, 0.3), "degree 300.5 is not an integer")],
+         (lambda: eval_P_from_zeros(LEG, 300.5, 0.3), "degree 300.5 is not an integer"),
+         (lambda: eval_P_near_one(LEG, 2.5, 0.3), "degree 2.5 is not an integer")],
         ids=["eval_P", "eval_P_many", "eval_P_many-nan", "combination", "combination-negative",
              "combination-negative-only", "eval_P_many-negative", "orthonormal_const",
              "orthonormal_const-negative", "near_one_window", "jacobi_matrix", "jacobi_zeros",
-             "largest_root", "eval_P_from_zeros"],
+             "largest_root", "eval_P_from_zeros", "eval_P_near_one"],
     )
     def test_one_degree_rule_in_every_evaluator(self, evaluate, message):
         # eval_P(LEG, 2.5, .) returned P_2 and {-1: 1.0, 2: 1.0} P_2 alone; {-1: 1.0} raised an
@@ -167,6 +170,7 @@ class TestEvalP:
         assert np.array_equal(jacobi.jacobi_zeros.__wrapped__(params, 301.0), jacobi_zeros(params, 301))
         assert largest_root(params, 3.0) == largest_root(params, 3)
         assert np.array_equal(eval_P_from_zeros(params, 300.0, x), eval_P_from_zeros(params, 300, x))
+        assert np.array_equal(eval_P_near_one(params, 300.0, x), eval_P_near_one(params, 300, x))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -250,7 +254,7 @@ class TestBlockedKernel:
         assert eval_P(JacobiParams(a, b), n, x) == pytest.approx(want, rel=1e-11, abs=1e-13)
         assert eval_P(JacobiParams(a, b), n, np.array([x, x]))[1] == pytest.approx(want, rel=1e-11, abs=1e-13)
 
-    @pytest.mark.parametrize("x", [[0.999], [0.999, 0.998]])
+    @pytest.mark.parametrize("x", [[0.999], [0.999, 0.998], [1.0]])
     def test_overflow_raises_in_every_evaluator(self, x):
         params = JacobiParams(400.0, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -260,6 +264,8 @@ class TestBlockedKernel:
                 eval_P_many(params, [3000], x)
             with pytest.raises(OverflowError):
                 eval_P(params, 3000, x)
+            with pytest.raises(OverflowError):
+                eval_P_near_one(params, 3000, x)
 
     @pytest.mark.parametrize(
         "a, b, x, parent_n",
@@ -412,6 +418,30 @@ class TestNearOne:
             assert 1.0 <= ratio <= 1.2
 
 
+class TestEvalPNearOne:
+    @pytest.mark.parametrize("n", [1, 2, 10, 160, 2560])
+    @pytest.mark.parametrize("ab", [(-0.9, 0.0), (0.0, 0.0), (1.5, 0.5), (10.0, 0.0), (0.0, 300.0)])
+    def test_series_at_the_edge_of_its_range_matches_mpmath(self, monkeypatch, ab, n):
+        # the series serves n (n + alpha + beta + 1) t <= (alpha + 1)/2, t = (1 - x)/2: its edge, moved inside by
+        # an ulp where it rounds out, and a point just inside it; no recurrence runs
+        params = JacobiParams(*ab)
+        lam, half = n * (n + sum(ab) + 1.0), 0.5 * (ab[0] + 1.0)
+        x = 1.0 - np.array([2.0, 1.98]) * half / lam
+        out = lam * 0.5 * (1.0 - x) > half
+        x[out] = np.nextafter(x[out], 2.0)
+        monkeypatch.setattr(jacobi, "eval_P_many", None)
+        got = eval_P_near_one(params, n, x)
+        with mpmath.workdps(50):
+            want = np.array([float(mpmath.jacobi(n, *ab, xi)) for xi in x])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).min()
+
+    def test_a_point_outside_the_range_sends_every_x_to_the_recurrence(self, monkeypatch):
+        params, x = JacobiParams(1.5, 0.5), np.array([0.999999, 1.0, 0.5])
+        assert np.array_equal(eval_P_near_one(params, 40, x), eval_P(params, 40, x))
+        monkeypatch.setattr(jacobi, "eval_P_many", None)
+        assert eval_P_near_one(params, 40, x[:2]) == pytest.approx(eval_P(params, 40, x[:2]), rel=1e-13)
+
+
 class TestLargestRoot:
     def test_legendre_small_n(self):
         # largest roots of Legendre P_2 and P_3: 1/sqrt(3) and sqrt(3/5)
@@ -440,6 +470,22 @@ class TestLargestRoot:
         want = mp_zero_ab(params, n, z)
         assert abs(z - want) <= 2 * math.ulp(want)
         assert abs(z - jacobi_zeros(params, n)[-1]) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("ab, n, series", [
+        ((0.0, 0.0), 10, False), ((0.0, 0.0), 160, True), ((0.0, 0.0), 4000, True),
+        ((1.5, 0.0), 40, False), ((1.5, 0.0), 2560, True), ((-0.4, 0.0), 10, True), ((-0.4, 0.0), 2560, True),
+        ((10.0, 0.0), 160, False), ((10.0, 0.0), 4000, True), ((50.0, 0.0), 4000, False),
+    ])
+    def test_sign_change_within_an_ulp(self, monkeypatch, ab, n, series):
+        # P_n changes sign between z -+ 1 ulp, in 50-digit mpmath at those doubles; the series' Newton steps
+        # serve a top zero near 1 at moderate alpha, the pivots the rest
+        taken, solve = [], jacobi._series_root
+        monkeypatch.setattr(jacobi, "_series_root", lambda *args: taken.append(solve(*args)) or taken[-1])
+        z = largest_root(JacobiParams(*ab), n)
+        assert (taken[0] is not None) == series
+        with mpmath.workdps(50):
+            below, above = (mpmath.jacobi(n, *ab, v) for v in (z - math.ulp(z), z + math.ulp(z)))
+        assert below < 0 < above
 
     @pytest.mark.parametrize("a", [-1 + 1e-15, -1 + 1e-12])
     def test_top_zero_rounding_to_one(self, a):
