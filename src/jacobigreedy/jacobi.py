@@ -20,7 +20,7 @@ bound a zero of P_n lies within (n + 1) |last step| of each, so disjoint
 intervals certify all; only where two overlap do the pivots give a Sturm count
 (Barth, Martin & Wilkinson, Numer. Math. 9, 1967). jacobi_zeros gives all of them,
 cached per weight and degree (the positive half only at alpha = beta);
-largest_root gives the top one by scalar Newton from above.
+largest_root gives the top one by Laguerre's steps from its tangent at 1.
 eval_P_from_zeros evaluates P_n between its zeros by the Taylor series of its
 differential equation about the nearest zero, after one recurrence pass at
 those zeros in place of one at every point. Near x = 1, where
@@ -460,7 +460,7 @@ def jacobi_zeros(params: JacobiParams, n: int) -> np.ndarray:
     while todo.size:
         xs = x[todo]
         if todo.size <= _SCALAR_NEWTON:
-            q = np.array([_pivot(dl, o2, v)[0] for v in xs.tolist()])
+            q = np.array([_pivot(dl, o2, v) for v in xs.tolist()])
         else:
             q = _pivots(dl, o2, xs)[0]
         s = _newton_step(params, n, xs, q)
@@ -652,8 +652,8 @@ def eval_P_near_one(params: JacobiParams, n: int, x) -> np.ndarray:
     return y * scale
 
 
-def _series_root(params: JacobiParams, n: int, x: float) -> float | None:
-    """The top zero of P_n by Newton's method in t from x = 1 - 2t above it, on F(t) = sum_k c_k
+def _series_root(params: JacobiParams, n: int, t: float) -> float | None:
+    """The top zero of P_n by Newton's method in t from t below (1 - z_n)/2, on F(t) = sum_k c_k
     (_series_ratios): the step is -F t / D, D = sum_k k c_k = t F'(t).
 
     None as soon as 2 K A t >= -D, A = sum_k |c_k| over the K terms past c_0, or if 100 steps do not
@@ -662,7 +662,6 @@ def _series_root(params: JacobiParams, n: int, x: float) -> float | None:
     836 and the zero 9 ulp off, as |D| is 3e-4 there.
     """
     lam = n * (n + params.alpha + params.beta + 1.0)
-    t = 0.5 * (1.0 - x)
     for _ in range(100):
         f = _series_ratios(params, n, lam * t)
         c, s, d, total = 1.0, 1.0, 0.0, 1.0
@@ -671,7 +670,7 @@ def _series_root(params: JacobiParams, n: int, x: float) -> float | None:
             s += c
             d += k * c
             total += abs(c)
-        if not 2.0 * len(f) * total * t < -d:  # also where D is not negative, as at t = 0
+        if not 2.0 * len(f) * total * t < -d:  # also where D is not negative
             return None
         step = -s * t / d
         t += step
@@ -681,51 +680,44 @@ def _series_root(params: JacobiParams, n: int, x: float) -> float | None:
 
 
 def largest_root(params: JacobiParams, n: int) -> float:
-    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): Newton's method from above, O(terms) per step near x = 1.
+    """Largest root z_n of P_n (1 - z_n ~ n^{-2}): from above, O(terms) per step near x = 1.
 
-    It starts at theta = arccos x = j / rho, j a lower bound of the first zero of the Bessel function
-    J_alpha (the larger of Ismail-Muldoon's sqrt((alpha + 1)(alpha + 5)) and Qu-Wong's
-    alpha + 2.3381 (alpha / 2)^{1/3}), rho = n + (alpha + beta + 1)/2, halving theta until every pivot
-    of J - xI is negative, i.e. x lies above every zero, or x is 1, to which the top zero then rounds:
-    one O(n) pass when j is a true bound. Every zero is real, so F(t) = P_n(1 - 2t) is positive,
-    decreasing and convex below t = (1 - z_n)/2, as P_n is above z_n, and Newton's steps rise to it
-    monotonically. They take eval_P_near_one's series in t, O(terms) each (_series_root), while its
-    rounding keeps the zero within an ulp; otherwise (large alpha or beta, or a zero far from 1 at small
-    n) they start again from the same x on the scalar pivot recurrence, O(n) each.
+    Every zero is real and below 1, so F(t) = P_n(1 - 2t) / P_n(1) is positive, decreasing and convex
+    on [0, (1 - z_n)/2] and lies above its tangent at 0, which meets zero at t_1 = (alpha + 1) / lam,
+    lam = n (n + alpha + beta + 1): so t_1 < (1 - z_n)/2, and x_1 = 1 - 2 t_1 lies above every zero
+    with no search. From t_1, Newton's steps in t rise to the zero on eval_P_near_one's series,
+    O(terms) each (_series_root), while its rounding keeps the zero within an ulp. Otherwise (large
+    alpha or beta, or a zero far from 1 at small n) Laguerre's steps fall from x_1 to it on the scalar
+    pivots, O(n) each, cubically where Newton's would crawl at large alpha: with s = P / P'
+    (_newton_step) and w = P'' / P' from (1 - x^2) P'' = ((alpha + beta + 2) x + alpha - beta) P' - lam P,
+    the step is n s / (1 + sqrt((n - 1)(n - 1 - n s w))).
     """
     diag, off = jacobi_matrix(params, n)
     n = diag.size
     if n == 1:
         return float(diag[0])
     a, b = params.alpha, params.beta
-    j = max(math.sqrt((a + 1.0) * (a + 5.0)), a + 2.3381 * (max(a, 0.0) / 2.0) ** (1.0 / 3.0))
-    theta = j / (n + 0.5 * (a + b + 1.0))
-    dl, o2 = diag.tolist(), (off * off).tolist()
-    while True:
-        x = math.cos(min(theta, math.pi))
-        q, neg = _pivot(dl, o2, x)
-        if neg == n:
-            break
-        if x == 1.0:  # the top zero rounds to 1 (alpha near -1)
-            return x
-        theta *= 0.5
-    z = _series_root(params, n, x)
+    lam = n * (n + a + b + 1.0)
+    t = (a + 1.0) / lam
+    z = _series_root(params, n, t)
     if z is not None:
         return z
+    dl, o2, x = diag.tolist(), (off * off).tolist(), 1.0 - 2.0 * t
     for _ in range(100):
-        s = float(_newton_step(params, n, np.float64(x), q))
-        x -= s
-        if not s > 0.0 or _done(params, n, x, s):
+        s = float(_newton_step(params, n, np.float64(x), _pivot(dl, o2, x)))
+        if not s > 0.0:  # at the zero, or past it by rounding
+            return x - s
+        w = ((a + b + 2.0) * x + a - b - lam * s) / ((1.0 - x) * (1.0 + x))
+        step = n * s / (1.0 + math.sqrt(max((n - 1.0) * (n - 1.0 - n * s * w), 0.0)))
+        x -= step
+        if _done(params, n, x, step):
             return x
-        q = _pivot(dl, o2, x)[0]
     raise RuntimeError(f"largest root of P_{n} at {params} did not converge")
 
 
-def _pivot(dl: list, o2: list, x: float) -> tuple[float, int]:
-    """_pivots at one x, with its count, in Python floats: the same operations, so the same pivots."""
+def _pivot(dl: list, o2: list, x: float) -> float:
+    """_pivots at one x in Python floats: the same operations, so the same pivot."""
     q = dl[0] - x
-    neg = int(q < 0.0)
     for d, o in zip(dl[1:], o2):
         q = d - x - (o / q if q else math.inf)
-        neg += q < 0.0
-    return q, neg
+    return q

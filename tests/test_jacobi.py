@@ -463,7 +463,7 @@ class TestLargestRoot:
         assert eval_P(params, n, z - h) < 0 < eval_P(params, n, min(z + h, 1.0))
 
     @pytest.mark.parametrize("n", [10, 640, 2560])
-    @pytest.mark.parametrize("ab", [(150.0, 0.0), (0.0, 150.0)])
+    @pytest.mark.parametrize("ab", [(150.0, 0.0), (0.0, 150.0), (3.0, 301.0)])
     def test_extreme_weight_matches_zeros_and_mpmath(self, ab, n):
         params = JacobiParams(*ab)
         z = largest_root(params, n)
@@ -475,6 +475,7 @@ class TestLargestRoot:
         ((0.0, 0.0), 10, False), ((0.0, 0.0), 160, True), ((0.0, 0.0), 4000, True),
         ((1.5, 0.0), 40, False), ((1.5, 0.0), 2560, True), ((-0.4, 0.0), 10, True), ((-0.4, 0.0), 2560, True),
         ((10.0, 0.0), 160, False), ((10.0, 0.0), 4000, True), ((50.0, 0.0), 4000, False),
+        ((-1 + 1e-15, 0.0), 3, True), ((-1 + 1e-15, 0.0), 5, True),
     ])
     def test_sign_change_within_an_ulp(self, monkeypatch, ab, n, series):
         # P_n changes sign between z -+ 1 ulp, in 50-digit mpmath at those doubles; the series' Newton steps
@@ -489,10 +490,31 @@ class TestLargestRoot:
 
     @pytest.mark.parametrize("a", [-1 + 1e-15, -1 + 1e-12])
     def test_top_zero_rounding_to_one(self, a):
-        # at alpha near -1 the top zero is within 1e-17 of 1, and the count stays below n up to 1 itself
+        # at alpha near -1 the top zero is within 1e-17 of 1, so the tangent start 1 - 2 t_1 above it rounds to 1 too
         params = JacobiParams(a, 0.0)
         assert mp_top_zero_rounds_to_one(params, 1000)
         assert largest_root(params, 1000) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 10, 40, 160, 640, 2560, 4000])
+    def test_pivot_passes_are_bounded(self, monkeypatch, n):
+        # the tangent at x = 1 starts above the top zero with no counted pass; Laguerre's steps from there
+        # take at most 10 pivot passes, and the series' Newton steps none
+        passes, pivot, pivots = [], jacobi._pivot, jacobi._pivots
+
+        def uncounted(*args, count=False):
+            assert not count
+            return pivots(*args)
+
+        monkeypatch.setattr(jacobi, "_pivot", lambda *args: passes.append(args[2]) or pivot(*args))
+        monkeypatch.setattr(jacobi, "_pivots", uncounted)
+        for ab in [(150.0, 0.0), (0.0, 150.0), (50.0, 0.0), (3.0, 301.0), (10.0, 0.0), (20.0, 0.0)]:
+            passes.clear()
+            largest_root(JacobiParams(*ab), n)
+            assert len(passes) <= 10, ab
+        for ab, n_min in [((0.0, 0.0), 40), ((1.5, 0.0), 160)]:
+            passes.clear()
+            largest_root(JacobiParams(*ab), n)
+            assert n < n_min or not passes, ab
 
     def test_one_minus_root_scales_like_inverse_square(self):
         z1 = largest_root(LEG, 100)
@@ -657,10 +679,8 @@ class TestJacobiZeros:
         # the scalar pivots are the vector ones bit for bit (Newton takes either), also at alpha = beta,
         # where the vector step skips the zero diagonal; here and at the Newton guesses
         x = np.concatenate([x, jacobi._zero_guesses(params, n, n)])
-        q, counts = jacobi._pivots(dl, o2, x, count=True)
-        scalar = [jacobi._pivot(dl, o2, v) for v in x.tolist()]
-        assert np.array_equal(q, [v for v, _ in scalar])
-        assert counts.tolist() == [c for _, c in scalar]
+        q = jacobi._pivots(dl, o2, x, count=True)[0]
+        assert np.array_equal(q, [jacobi._pivot(dl, o2, v) for v in x.tolist()])
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.0, 0.5), (0.0, 150.0)])
     def test_bad_guesses_are_repaired_by_count(self, ab, monkeypatch):
